@@ -49,6 +49,8 @@ from .hypercore import (
     HyperParams,
     Violation,
     color_of,
+    edge_members,
+    pair_edges,
     pair_supersets,
     rank_edge,
     unrank_edge,

@@ -54,6 +54,13 @@ def _load_graph(path: str) -> Graph:
 def _cmd_verify(args) -> int:
     coloring = _load_coloring(args.coloring)
     cycle = _load_cycle(args.cycle)
+    n = coloring.params.n
+    if len(cycle.core) != n or len(cycle.edges) != n:
+        print(
+            f"invalid: cycle has {len(cycle.core)} core vertices and "
+            f"{len(cycle.edges)} edges, expected n={n}"
+        )
+        return 1
     bad = verify_berge_cycle(cycle, coloring)
     if bad is None:
         print("valid")

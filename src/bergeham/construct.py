@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .extend import build_candidates, extend_greedy_ordered, extend_matching, max_position_matching
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
@@ -276,23 +278,22 @@ def build_gamma_case1(witness: Witness, profile: ColorProfile) -> GammaBundle:
 def _fresh_edge_scan(
     vertex: int,
     exclusion: set[int],
-    class_edges,
-    params,
+    edges: np.ndarray,
+    rows: np.ndarray,
     used: set[int],
 ) -> Optional[tuple[int, int]]:
     """First unused target-color hyperedge through `vertex` with a vertex
-    outside `exclusion`; returns (hyperedge index, fresh vertex)."""
-    for h in class_edges:
-        h = int(h)
-        if h in used:
-            continue
-        members = unrank_edge(h, params)
-        if vertex not in members:
-            continue
-        fresh = next((w for w in members if w not in exclusion), None)
-        if fresh is not None:
-            return h, fresh
-    return None
+    outside `exclusion`; `edges` and `rows` are the class edges and their
+    member rows.  Returns (hyperedge index, fresh vertex)."""
+    ok = (rows == vertex).any(axis=1)
+    ok &= ~np.isin(rows, list(exclusion)).all(axis=1)
+    ok &= ~np.isin(edges, list(used))
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return None
+    j = hits[0]
+    fresh = next(w for w in rows[j].tolist() if w not in exclusion)
+    return int(edges[j]), fresh
 
 
 def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
@@ -327,7 +328,7 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
     u_list = [witness.y_of(f + 1)] + sorted(ubar_f1 - {witness.y_of(f + 1)})
     Y = [witness.y_of(i) for i in range(1, k + 1) if i != f + 1]
     yset = set(Y)
-    class_edges = [int(h) for h in profile.coloring.class_edges(target)]
+    edges, rows = profile.coloring.class_members(target)
 
     # E1: bad-pair vertices of the tail colors, certified through x
     e1 = []
@@ -395,7 +396,7 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
         exclusion = set(Y) | set(u_list) | {x} | set(gamma1.neighbors(u_i))
         got = []
         for _ in range(t_i):
-            hit = _fresh_edge_scan(u_i, exclusion, class_edges, p, used)
+            hit = _fresh_edge_scan(u_i, exclusion, edges, rows, used)
             if hit is None:
                 raise GammaBuildError(
                     f"degree repair exhausted the target-color hyperedges "
@@ -440,7 +441,7 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
             | e4_partners.get(w_i, set())
         )
         for _ in range(tp):
-            hit = _fresh_edge_scan(w_i, exclusion, class_edges, p, used)
+            hit = _fresh_edge_scan(w_i, exclusion, edges, rows, used)
             if hit is None:
                 raise GammaBuildError(
                     f"degree repair exhausted the target-color hyperedges "

@@ -1,9 +1,9 @@
 """Turning a core vertex sequence into a monochromatic Berge-cycle.
 
-Position i of a candidate table lists the hyperedges of the target color
-containing the consecutive core pair (v_i, v_{i+1 mod n}); positions are
-0-based here.  A cycle needs one *distinct* hyperedge per position, i.e. a
-system of distinct representatives.
+Position i of a candidate table lists, ascending, every hyperedge of the
+target color containing the consecutive core pair (v_i, v_{i+1 mod n});
+positions are 0-based here.  A cycle needs one *distinct* hyperedge per
+position, i.e. a system of distinct representatives.
 
 Two strategies: `extend_matching` decides SDR existence exactly via
 augmenting-path bipartite matching; `extend_greedy_ordered` assigns positions
@@ -13,74 +13,39 @@ otherwise.  Greedy is sound but incomplete; matching is complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hypercore import (
-    BergeCycle,
-    Coloring,
-    pair_supersets,
-    unrank_edge,
-    verify_berge_cycle,
-)
+import numpy as np
+
+from .hypercore import BergeCycle, Coloring, verify_berge_cycle
 
 
 @dataclass
 class CandidateTable:
-    """Per-position candidate hyperedge indices for a core sequence and color.
-
-    Candidate lists are ascending and may be capped (`cap` edges per position,
-    default 4n); positions whose full lists were longer are recorded in
-    `truncated` so callers can fall back to an uncapped pass.
-    """
+    """Per-position candidate hyperedge indices (full, ascending lists) for a
+    core sequence and color."""
 
     core: tuple[int, ...]
     color: int
     coloring: Coloring
     candidates: list[list[int]]
-    cap: Optional[int]
-    truncated: frozenset[int] = field(default_factory=frozenset)
 
     def position_pair(self, i: int) -> tuple[int, int]:
         n = len(self.core)
         return self.core[i], self.core[(i + 1) % n]
 
     def is_candidate(self, i: int, edge_index: int) -> bool:
-        """Membership in the conceptual (uncapped) candidate list."""
-        if self.coloring.color_of(edge_index) != self.color:
-            return False
-        members = unrank_edge(edge_index, self.coloring.params)
-        u, v = self.position_pair(i)
-        return u in members and v in members
-
-    def full_candidates(self, i: int) -> list[int]:
-        u, v = self.position_pair(i)
-        return [
-            e
-            for e in pair_supersets(u, v, self.coloring.params)
-            if self.coloring.color_of(e) == self.color
-        ]
-
-    def uncapped(self) -> "CandidateTable":
-        if not self.truncated:
-            return self
-        full = [
-            self.full_candidates(i) if i in self.truncated else list(c)
-            for i, c in enumerate(self.candidates)
-        ]
-        return CandidateTable(self.core, self.color, self.coloring, full, None)
+        return edge_index in self.candidates[i]
 
 
 def build_candidates(
-    core: Sequence[int],
-    color: int,
-    coloring: Coloring,
-    cap: Optional[int] = -1,
+    core: Sequence[int], color: int, coloring: Coloring
 ) -> CandidateTable:
     """Candidate table for a core permutation and target color.
 
-    cap=-1 applies the default per-position cap of 4n (lowest indices kept);
-    cap=None disables capping.
+    Only the n core pairs are materialised, from the member-table rows of the
+    color class.
     """
     p = coloring.params
     n = p.n
@@ -88,23 +53,18 @@ def build_candidates(
         raise ValueError("core must be a permutation of the vertices")
     if not 1 <= color <= p.k:
         raise ValueError(f"color {color} out of range")
-    if cap == -1:
-        cap = 4 * n
     core = tuple(core)
-    cands: list[list[int]] = []
-    truncated = []
-    for i in range(n):
-        u, v = core[i], core[(i + 1) % n]
-        full = [
-            e
-            for e in pair_supersets(u, v, p)
-            if coloring.colors[e] == color
-        ]
-        if cap is not None and len(full) > cap:
-            truncated.append(i)
-            full = full[:cap]
-        cands.append(full)
-    return CandidateTable(core, color, coloring, cands, cap, frozenset(truncated))
+    edges, rows = coloring.class_members(color)
+    slot = np.empty(n, dtype=np.intp)
+    slot[list(core)] = np.arange(n)
+    # incident[i, j]: core vertex v_i lies in the j-th class edge; row n
+    # repeats row 0 so that rows i and i+1 always hold a core pair
+    incident = np.zeros((n + 1, len(edges)), dtype=bool)
+    incident[slot[rows], np.arange(len(edges))[:, None]] = True
+    incident[n] = incident[0]
+    both = incident[:-1] & incident[1:]
+    cands = [edges[hit].tolist() for hit in both]
+    return CandidateTable(core, color, coloring, cands)
 
 
 def _augment(
@@ -145,15 +105,9 @@ def _finish(table: CandidateTable, assignment: Sequence[int]) -> BergeCycle:
 def extend_matching(
     table: CandidateTable, work_counter: Optional[list[int]] = None
 ) -> Optional[BergeCycle]:
-    """Exact extension: a cycle exists iff positions admit a perfect matching.
-
-    A capped table that fails to match is automatically retried uncapped.
-    """
+    """Exact extension: a cycle exists iff positions admit a perfect matching."""
     n = len(table.core)
     match = max_position_matching(table.candidates, work_counter)
-    if len(match) < n and table.truncated:
-        table = table.uncapped()
-        match = max_position_matching(table.candidates, work_counter)
     if len(match) < n:
         return None
     return _finish(table, [match[i] for i in range(n)])
@@ -165,10 +119,9 @@ def extend_greedy_ordered(
 ) -> Optional[BergeCycle]:
     """Ordered extension: positions assigned ascending, reservations verbatim.
 
-    Free positions take their lowest-index unused candidate (consulting the
-    uncapped list when a capped one runs dry).  Returns None when some
-    position cannot be served; a reserved edge that is not a candidate for its
-    position raises ValueError.
+    Free positions take their lowest-index unused candidate.  Returns None
+    when some position cannot be served; a reserved edge that is not a
+    candidate for its position raises ValueError.
     """
     reserved = reserved or {}
     n = len(table.core)
@@ -189,12 +142,7 @@ def extend_greedy_ordered(
             assignment.append(e)
             used.add(e)
             continue
-        pool = table.candidates[i]
-        pick = next((e for e in pool if e not in used), None)
-        if pick is None and i in table.truncated:
-            pick = next(
-                (e for e in table.full_candidates(i) if e not in used), None
-            )
+        pick = next((e for e in table.candidates[i] if e not in used), None)
         if pick is None:
             return None
         assignment.append(pick)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .hypercore import (
     Coloring,
     HyperParams,
     iter_colex_edges,
+    pair_edges,
     verify_berge_cycle,
 )
 
@@ -80,34 +81,6 @@ def paper_threshold(r: int) -> int:
     return value
 
 
-def _pair_lists(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
-    """Map each vertex pair to the ascending color-class edges through it."""
-    p = coloring.params
-    lists: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in combinations(range(p.n), 2)
-    }
-    for t in np.flatnonzero(coloring.colors == color):
-        t = int(t)
-        for pair in combinations(_unrank_cached(coloring, t), 2):
-            lists[pair].append(t)
-    return lists
-
-
-def _unrank_cached(coloring: Coloring, t: int) -> tuple[int, ...]:
-    """Per-coloring memo for unrank_edge; the hot loops hit edges repeatedly."""
-    cache = getattr(coloring, "_unrank_memo", None)
-    if cache is None:
-        cache = {}
-        coloring._unrank_memo = cache
-    got = cache.get(t)
-    if got is None:
-        from .hypercore import unrank_edge
-
-        got = unrank_edge(t, coloring.params)
-        cache[t] = got
-    return got
-
-
 def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
     """Brute-force system of distinct representatives, fewest options first."""
     order = sorted(range(len(pools)), key=lambda i: len(pools[i]))
@@ -143,7 +116,7 @@ def _decide_exact(coloring: Coloring) -> SearchReport:
         if int(sizes[color - 1]) < n:
             stages["skipped_colors"].append(color)
             continue
-        lists = _pair_lists(coloring, color)
+        lists = pair_edges(coloring, color)
         rest = list(range(1, n))
         for perm in permutations(rest):
             if n > 2 and perm[0] > perm[-1]:
@@ -189,6 +162,11 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     matching extender decides each one exactly.  A budget hit parks the color;
     parked colors get one constructive attempt, and the verdict is undecided
     only if some color stays unresolved.
+
+    The budget is cumulative across colors, not a fresh allowance per color:
+    search nodes and matching augmentations spent on earlier colors count
+    against later ones.  Under a tight budget the verdict can therefore
+    depend on how the colors are numbered.
     """
     p = coloring.params
     n = p.n
@@ -201,7 +179,7 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
         if int(sizes[color - 1]) < n:
             stages["colors"][color] = "class too small"
             continue
-        lists = _pair_lists(coloring, color)
+        lists = pair_edges(coloring, color)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
         try:
             if find_hamiltonian_cycle(

@@ -3,11 +3,16 @@
 Hyperedges of K_n^r are the r-subsets of [0, n), indexed by their colex rank
 (combinadic number system).  A coloring is a dense vector of 1-based color ids
 over that index space.  Everything here is immutable after construction.
+
+Which vertices an edge holds is read from one cached member table per (n, r),
+`edge_members`; pair lists, candidate tables and the verifier all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Sequence
 
@@ -95,11 +100,20 @@ def iter_colex_edges(n: int, r: int) -> Iterator[tuple[int, ...]]:
             cur[i] = i
 
 
-def pair_rank(u: int, v: int) -> int:
-    """Colex rank of the pair {u, v}; equals rank_edge for r = 2."""
-    if u > v:
-        u, v = v, u
-    return comb(v, 2) + u
+@lru_cache(maxsize=8)
+def edge_members(n: int, r: int) -> np.ndarray:
+    """Read-only (C(n, r), r) table whose row t is the colex-rank-t edge.
+
+    Rows are ascending vertex tuples.  One table per (n, r) is cached and
+    shared by every coloring with those parameters.
+    """
+    table = np.fromiter(
+        (v for e in iter_colex_edges(n, r) for v in e),
+        dtype=np.uint8 if n <= 256 else np.uint16,
+        count=comb(n, r) * r,
+    ).reshape(-1, r)
+    table.flags.writeable = False
+    return table
 
 
 def pair_supersets(u: int, v: int, params: HyperParams) -> list[int]:
@@ -112,14 +126,9 @@ def pair_supersets(u: int, v: int, params: HyperParams) -> list[int]:
         raise ValueError("u and v must be distinct")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for n={n}")
-    lo, hi = min(u, v), max(u, v)
-    rest = [w for w in range(n) if w != lo and w != hi]
-    out = []
-    for extra in iter_colex_edges(n - 2, r - 2) if r > 2 else [()]:
-        subset = sorted([lo, hi] + [rest[i] for i in extra])
-        out.append(rank_edge(subset, params))
-    out.sort()
-    return out
+    members = edge_members(n, r)
+    hit = (members == u).any(axis=1) & (members == v).any(axis=1)
+    return np.flatnonzero(hit).tolist()
 
 
 class Coloring:
@@ -150,6 +159,12 @@ class Coloring:
         """Ascending edge indices of one color class."""
         return np.flatnonzero(self.colors == color)
 
+    def class_members(self, color: int) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, rows): ascending edge indices of one color class and the
+        member-table rows of those edges."""
+        edges = self.class_edges(color)
+        return edges, edge_members(self.params.n, self.params.r)[edges]
+
     # --- text format: line 1 "n r k", line 2 = edge_count color ids -------
 
     def to_text(self) -> str:
@@ -162,7 +177,7 @@ class Coloring:
         lines = text.split("\n")
         if len(lines) < 2:
             raise ValueError("coloring text needs a header line and a color line")
-        head = lines[0].split(" ")
+        head = lines[0].split()
         if len(head) != 3:
             raise ValueError(f"malformed header {lines[0]!r}, expected 'n r k'")
         try:
@@ -195,6 +210,19 @@ class Coloring:
 def color_of(index: int, coloring: Coloring) -> int:
     """Color id of the colex-rank-`index` edge."""
     return coloring.color_of(index)
+
+
+def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
+    """Map each vertex pair (u, v), u < v, to the ascending edges of one color
+    class that contain it."""
+    lists: dict[tuple[int, int], list[int]] = {
+        pair: [] for pair in combinations(range(coloring.params.n), 2)
+    }
+    edges, rows = coloring.class_members(color)
+    for t, row in zip(edges.tolist(), rows.tolist()):
+        for pair in combinations(row, 2):
+            lists[pair].append(t)
+    return lists
 
 
 @dataclass(frozen=True)
@@ -248,6 +276,7 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
             return Violation("color id out of range")
         if int(np.count_nonzero(coloring.colors == cycle.color)) < n:
             return Violation("color class smaller than n")
+    members = edge_members(n, params.r)
     seen_e = set()
     for i in range(n):
         pos = i + 1
@@ -257,10 +286,10 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
         if e in seen_e:
             return Violation("duplicate edge", pos)
         seen_e.add(e)
-        members = unrank_edge(e, params)
+        row = members[e].tolist()
         a, b = cycle.core[i], cycle.core[(i + 1) % n]
-        if a not in members or b not in members:
+        if a not in row or b not in row:
             return Violation("containment", pos)
-        if cycle.color is not None and coloring.color_of(e) != cycle.color:
+        if cycle.color is not None and coloring.colors[e] != cycle.color:
             return Violation("edge color", pos)
     return None

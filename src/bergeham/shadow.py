@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import Graph
 from .hamilton import find_hamiltonian_cycle
-from .hypercore import Coloring, iter_colex_edges
+from .hypercore import Coloring, edge_members, iter_colex_edges
 
 
 def default_degree_bound(r: int) -> int:
@@ -45,22 +45,6 @@ class ColorProfile:
         if self.good_threshold < 1:
             raise ValueError("good_threshold must be >= 1")
         n, r, k = p.n, p.r, p.k
-        edges = np.fromiter(
-            (v for e in iter_colex_edges(n, r) for v in e),
-            dtype=np.int64,
-            count=p.edge_count * r,
-        ).reshape(p.edge_count, r)
-        ci = coloring.colors.astype(np.intp) - 1
-        counts = np.zeros((comb(n, 2), k), dtype=np.int64)
-        for a, b in combinations(range(r), 2):
-            pr = edges[:, b] * (edges[:, b] - 1) // 2 + edges[:, a]
-            np.add.at(counts, (pr, ci), 1)
-        deg = np.zeros((n, k), dtype=np.int64)
-        for c in range(r):
-            np.add.at(deg, (edges[:, c], ci), 1)
-        self.pair_counts = counts
-        self._deg = deg
-        self._good = counts >= self.good_threshold
         # pair_index[u, v] = colex rank of {u, v}; the meaningless diagonal is
         # clamped in range (callers mask it out)
         idx = np.arange(n)
@@ -68,6 +52,20 @@ class ColorProfile:
             idx, idx
         ) * (np.maximum.outer(idx, idx) - 1) // 2
         np.fill_diagonal(self.pair_index, 0)
+        edges = edge_members(n, r)
+        ci = coloring.colors.astype(np.intp) - 1
+        counts = np.zeros(comb(n, 2) * k, dtype=np.int64)
+        for a, b in combinations(range(r), 2):
+            cell = self.pair_index[edges[:, a], edges[:, b]] * k + ci
+            counts += np.bincount(cell, minlength=counts.size)
+        deg = np.zeros(n * k, dtype=np.int64)
+        for c in range(r):
+            cell = edges[:, c].astype(np.intp) * k + ci
+            deg += np.bincount(cell, minlength=deg.size)
+        counts = counts.reshape(-1, k)
+        self.pair_counts = counts
+        self._deg = deg.reshape(n, k)
+        self._good = counts >= self.good_threshold
 
     @property
     def params(self):

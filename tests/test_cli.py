@@ -41,6 +41,16 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert "duplicate edge" in capsys.readouterr().out
 
 
+def test_verify_wrong_length_is_invalid(tmp_path, capsys):
+    coloring_path = tmp_path / "c.txt"
+    coloring_path.write_text("4 3 1\n1 1 1 1\n")
+    cycle_path = tmp_path / "short.txt"
+    cycle_path.write_text("0 1 2\n0 3 2\n1\n")
+    assert run("verify", str(coloring_path), str(cycle_path)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("invalid: ")
+
+
 def test_exhaust_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = run("exhaust", "--n", "5", "--r", "4", "--k", "3",

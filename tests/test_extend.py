@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -8,6 +9,8 @@ from bergeham import (
     build_candidates,
     extend_greedy_ordered,
     extend_matching,
+    gen_coloring,
+    pair_supersets,
     verify_berge_cycle,
 )
 
@@ -54,11 +57,38 @@ class TestBuildCandidates:
         with pytest.raises(ValueError):
             build_candidates((0, 1, 2, 2), 1, uniform(4, 3))
 
-    def test_cap_recorded(self):
-        table = build_candidates((0, 1, 2, 3, 4), 1, uniform(5, 4), cap=1)
-        assert table.cap == 1
-        assert table.truncated == frozenset(range(5))
-        assert all(len(c) == 1 for c in table.candidates)
+    def test_full_lists(self):
+        # every pair lies in C(8,4) = 70 edges, all of color 1
+        coloring = uniform(10, 6)
+        table = build_candidates(tuple(range(10)), 1, coloring)
+        assert [len(c) for c in table.candidates] == [comb(8, 4)] * 10
+        for i, cands in enumerate(table.candidates):
+            assert cands == pair_supersets(*table.position_pair(i), coloring.params)
+        cycle = extend_matching(table)
+        assert cycle is not None
+        assert verify_berge_cycle(cycle, coloring) is None
+
+    @pytest.mark.parametrize(
+        "n,r,k,seed",
+        [(6, 2, 2, 0), (7, 2, 3, 1), (5, 5, 1, 2), (6, 6, 1, 3), (8, 3, 4, 4),
+         (9, 4, 5, 5), (10, 5, 3, 6), (12, 3, 24, 7), (24, 5, 4, 8)],
+    )
+    def test_lists_equal_filtered_supersets(self, n, r, k, seed):
+        p = HyperParams(n, r, k)
+        coloring = gen_coloring(p, "random", seed=seed)
+        rng = random.Random(seed)
+        for _ in range(3):
+            core = list(range(n))
+            rng.shuffle(core)
+            color = rng.randint(1, k)
+            table = build_candidates(tuple(core), color, coloring)
+            for i in range(n):
+                u, v = core[i], core[(i + 1) % n]
+                expect = [
+                    e for e in pair_supersets(u, v, p) if coloring.colors[e] == color
+                ]
+                assert table.candidates[i] == expect
+                assert all(type(e) is int for e in table.candidates[i])
 
 
 class TestMatching:
@@ -79,15 +109,6 @@ class TestMatching:
     def test_empty_position_fails(self):
         table = build_candidates((0, 1, 2, 3), 2, uniform(4, 3, k=2))
         assert extend_matching(table) is None
-
-    def test_capped_failure_retries_uncapped(self):
-        coloring = uniform(5, 4)
-        capped = build_candidates((0, 1, 2, 3, 4), 1, coloring, cap=1)
-        # every position holds only its lowest-index superset; collisions are
-        # guaranteed, so success proves the uncapped fallback ran
-        cycle = extend_matching(capped)
-        assert cycle is not None
-        assert verify_berge_cycle(cycle, coloring) is None
 
     def test_matches_brute_force_sdr(self):
         rng = random.Random(61)

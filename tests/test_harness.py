@@ -15,6 +15,23 @@ from bergeham import (
 from bergeham.hypercore import iter_colex_edges
 
 
+# find_mono_berge at (10,3,12), random seeds 0-9: (seed, verdict, color,
+# core, edges, nodes, augmentations), recorded before the candidate tables
+# were read from the colex member table.
+PINNED_10_3_12 = [
+    (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 10),
+    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 4320, 4550),
+    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 194, 70),
+    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 264, 190),
+    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 3235, 1990),
+    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 4597, 3350),
+    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 31, 10),
+    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 852, 1250),
+    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 2403, 930),
+    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 40, 20),
+]
+
+
 def coloring_from_digits(params, line):
     return Coloring(params, [int(x) for x in line.split()])
 
@@ -53,6 +70,14 @@ class TestFindMonoBerge:
         coloring = Coloring(p, [1] * 4 + [2] * 6)
         report = find_mono_berge(coloring)
         assert report.stages["colors"][1] == "class too small"
+
+    @pytest.mark.parametrize("pin", PINNED_10_3_12, ids=lambda pin: f"seed{pin[0]}")
+    def test_pinned_reports(self, pin):
+        seed, verdict, color, core, edges, nodes, aug = pin
+        report = find_mono_berge(gen_coloring(HyperParams(10, 3, 12), "random", seed=seed))
+        assert (report.verdict, report.color) == (verdict, color)
+        assert (report.cycle.core, report.cycle.edges) == (core, edges)
+        assert (report.nodes, report.augmentations) == (nodes, aug)
 
     def test_found_cycles_always_verify(self):
         rng = random.Random(73)

@@ -9,12 +9,14 @@ from bergeham import (
     BergeCycle,
     Coloring,
     HyperParams,
+    find_mono_berge,
+    gen_coloring,
     pair_supersets,
     rank_edge,
     unrank_edge,
     verify_berge_cycle,
 )
-from bergeham.hypercore import iter_colex_edges
+from bergeham.hypercore import edge_members, iter_colex_edges, pair_edges
 
 
 def colex_less(a, b):
@@ -138,6 +140,59 @@ class TestPairSupersets:
         with pytest.raises(ValueError):
             pair_supersets(2, 2, HyperParams(5, 3))
 
+    @pytest.mark.parametrize(
+        "n,r", [(2, 2), (5, 2), (6, 3), (7, 4), (6, 6), (9, 5), (24, 5)]
+    )
+    def test_matches_rank_edge_reference(self, n, r):
+        p = HyperParams(n, r)
+        for u, v in [(0, 1), (n - 1, 0), (n // 2, n - 1)]:
+            if u == v:
+                continue
+            rest = [w for w in range(n) if w not in (u, v)]
+            expect = sorted(
+                rank_edge(sorted((u, v) + extra), p)
+                for extra in combinations(rest, r - 2)
+            )
+            assert pair_supersets(u, v, p) == expect
+
+
+class TestMemberTable:
+    def test_rows_are_unranked_edges(self):
+        for n, r in [(2, 2), (6, 3), (7, 7), (9, 4)]:
+            table = edge_members(n, r)
+            assert table.shape == (comb(n, r), r)
+            p = HyperParams(n, r)
+            assert [tuple(row) for row in table.tolist()] == [
+                unrank_edge(t, p) for t in range(p.edge_count)
+            ]
+
+    def test_read_only_and_shared(self):
+        table = edge_members(6, 3)
+        assert edge_members(6, 3) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("n,r,k,seed", [(5, 2, 2, 0), (6, 3, 3, 1), (6, 6, 1, 2),
+                                             (8, 4, 5, 3), (10, 3, 12, 4)])
+    def test_pair_edges_match_unrank_reference(self, n, r, k, seed):
+        p = HyperParams(n, r, k)
+        coloring = gen_coloring(p, "random", seed=seed)
+        for color in range(1, k + 1):
+            expect = {pair: [] for pair in combinations(range(n), 2)}
+            for t in range(p.edge_count):
+                if coloring.colors[t] == color:
+                    for pair in combinations(unrank_edge(t, p), 2):
+                        expect[pair].append(t)
+            got = pair_edges(coloring, color)
+            assert got == expect
+            assert list(got) == list(expect)
+
+    def test_coloring_gains_no_attributes(self):
+        coloring = gen_coloring(HyperParams(7, 3, 3), "random", seed=5)
+        before = set(vars(coloring))
+        find_mono_berge(coloring)
+        assert set(vars(coloring)) == before
+
 
 class TestColoringFormat:
     def test_roundtrip_bit_exact(self):
@@ -154,6 +209,12 @@ class TestColoringFormat:
     def test_rejects_out_of_range_color(self):
         with pytest.raises(ValueError):
             Coloring.from_text("4 3 2\n1 2 3 1\n")
+
+    def test_header_whitespace_runs(self):
+        body = " ".join(["1"] * 4) + "\n"
+        expect = Coloring(HyperParams(4, 3, 1), [1] * 4)
+        assert Coloring.from_text("4  3 1\n" + body) == expect
+        assert Coloring.from_text("4\t3 \t1 \n" + body) == expect
 
     def test_rejects_malformed_header(self):
         with pytest.raises(ValueError):
