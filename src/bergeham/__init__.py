@@ -48,7 +48,6 @@ from .hypercore import (
     Coloring,
     HyperParams,
     Violation,
-    color_of,
     edge_members,
     pair_edges,
     pair_supersets,
@@ -64,7 +63,6 @@ from .shadow import (
     color_degree,
     default_degree_bound,
     find_avoiding_set,
-    good_colors,
     minimal_breaking_subgraph,
     partition_trq,
     u_sets,

@@ -87,19 +87,6 @@ class Graph:
             masks[v] &= ~(1 << u)
         return Graph._from_masks(masks)
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self._adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self._adj == other._adj
 

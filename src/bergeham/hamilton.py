@@ -1,10 +1,19 @@
 """Hamiltonicity engines.
 
 Sufficient conditions (Dirac, Chvatal), the degree-sum closure with a
-constructive cycle transfer, and an exact backtracking finder.  The finder's
-default strategy: close the graph, find a cycle in the closure (trivial when
-the closure is complete), then peel the added edges in reverse order via the
-transfer step, so the closure lemma does the heavy lifting.
+constructive cycle transfer, and one exact backtracker.
+
+The backtracker is a depth-first search over adjacency bitmasks, anchored at
+vertex 0, taking neighbors in ascending order.  It prunes a branch when vertex
+0 has no unvisited neighbor left, or when some unvisited vertex has fewer than
+two neighbors among the unvisited vertices, the path's end and vertex 0.  It
+yields each Hamiltonian cycle once, as the order whose second vertex is
+smaller than its last, in lexicographic order.  `iter_hamiltonian_cycles`
+exposes the whole enumeration; `find_hamiltonian_cycle` takes its first
+cycle.  The finder's default strategy: close the graph, take the first cycle
+of the closure (none is searched for when the closure is complete), then peel
+the added edges in reverse order via the transfer step, so the closure lemma
+does the heavy lifting.
 
 Budgets are node-expansion counts, never wall clock, so verdicts are
 reproducible.  Exhausting a budget raises SearchBudgetExceeded; a plain None
@@ -142,54 +151,41 @@ def transfer_cycle(
     return out
 
 
-def _search_cycle(
-    masks: list[int], budget: Optional[int], counter: list[int]
-) -> Optional[list[int]]:
-    """Exact backtracking Hamiltonian-cycle search on adjacency masks.
+def _cycle_orders(
+    masks: list[int], max_nodes: Optional[int], counter: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The exact backtracker described in the module docstring.
 
-    Anchored at vertex 0, neighbors explored ascending.  Prunes on isolated
-    low-degree leftovers and on disconnection of the unvisited region.
+    Yields every Hamiltonian cycle of the adjacency masks as a vertex order.
+    Node expansions accumulate in counter[0]; max_nodes caps them by raising
+    SearchBudgetExceeded.
     """
     n = len(masks)
     full = (1 << n) - 1
-    for m in masks:
-        if m.bit_count() < 2:
-            return None
+    if any(m.bit_count() < 2 for m in masks):
+        return
     path = [0]
 
-    def reachable(start_mask: int, allowed: int) -> int:
-        seen = start_mask & allowed
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for w in _bits(frontier):
-                nxt |= masks[w]
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return seen
-
-    def step(v: int, used: int) -> bool:
+    def step(v: int, used: int) -> Iterator[tuple[int, ...]]:
         counter[0] += 1
-        if budget is not None and counter[0] > budget:
-            raise SearchBudgetExceeded(f"node budget {budget} exhausted")
+        if max_nodes is not None and counter[0] > max_nodes:
+            raise SearchBudgetExceeded(f"node budget {max_nodes} exhausted")
         if used == full:
-            return bool(masks[v] >> 0 & 1)
+            if masks[v] & 1 and path[1] < path[-1]:
+                yield tuple(path)
+            return
         un = full & ~used
         if not masks[0] & un:
-            return False
+            return
         for w in _bits(un):
             if (masks[w] & (un | (1 << v) | 1)).bit_count() < 2:
-                return False
-        if reachable(1 << v, un | (1 << v)) & un != un:
-            return False
+                return
         for w in _bits(masks[v] & un):
             path.append(w)
-            if step(w, used | (1 << w)):
-                return True
+            yield from step(w, used | (1 << w))
             path.pop()
-        return False
 
-    return path if step(0, 1) else None
+    yield from step(0, 1)
 
 
 def find_hamiltonian_cycle(
@@ -214,23 +210,15 @@ def find_hamiltonian_cycle(
         raise ValueError("Hamiltonian cycles need n >= 3")
     if counter is None:
         counter = [0]
-    if not use_closure:
-        found = _search_cycle([g.adjacency_mask(v) for v in range(n)], max_nodes, counter)
-        if found is None:
-            return None
-        cert = CycleCertificate(tuple(found))
-        cert.validate(g)
-        return cert
-    closed, added = closure_order(g)
+    closed, added = closure_order(g) if use_closure else (g, [])
     full = (1 << n) - 1
     masks = [closed.adjacency_mask(v) for v in range(n)]
-    if all(m == full ^ (1 << v) for v, m in enumerate(masks)):
+    if use_closure and all(m == full ^ (1 << v) for v, m in enumerate(masks)):
         order = tuple(range(n))
     else:
-        found = _search_cycle(masks, max_nodes, counter)
-        if found is None:
+        order = next(_cycle_orders(masks, max_nodes, counter), None)
+        if order is None:
             return None  # g is a subgraph of its closure
-        order = tuple(found)
     for u, v in reversed(added):
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
@@ -253,34 +241,8 @@ def iter_hamiltonian_cycles(
     in lexicographic order of that canonical form.  `counter`, when given,
     accumulates node expansions in its first slot and max_nodes caps it.
     """
-    n = g.n
-    if n < 3:
+    if g.n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")
-    full = (1 << n) - 1
-    masks = [g.adjacency_mask(v) for v in range(n)]
-    if any(m.bit_count() < 2 for m in masks):
-        return
-    if counter is None:
-        counter = [0]
-    path = [0]
-
-    def step(v: int, used: int) -> Iterator[CycleCertificate]:
-        counter[0] += 1
-        if max_nodes is not None and counter[0] > max_nodes:
-            raise SearchBudgetExceeded(f"node budget {max_nodes} exhausted")
-        if used == full:
-            if masks[v] >> 0 & 1 and path[1] < path[-1]:
-                yield CycleCertificate(tuple(path))
-            return
-        un = full & ~used
-        if not masks[0] & un:
-            return
-        for w in _bits(un):
-            if (masks[w] & (un | (1 << v) | 1)).bit_count() < 2:
-                return
-        for w in _bits(masks[v] & un):
-            path.append(w)
-            yield from step(w, used | (1 << w))
-            path.pop()
-
-    yield from step(0, 1)
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    for order in _cycle_orders(masks, max_nodes, [0] if counter is None else counter):
+        yield CycleCertificate(order)

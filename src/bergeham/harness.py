@@ -24,7 +24,9 @@ import numpy as np
 from .construct import constructive_find
 from .extend import build_candidates, extend_matching
 from .graphs import Graph
-from .hamilton import SearchBudgetExceeded, find_hamiltonian_cycle, iter_hamiltonian_cycles
+from .hamilton import SearchBudgetExceeded, iter_hamiltonian_cycles
+# Unused here; kept importable because the perfbench tracer wraps this name.
+from .hamilton import find_hamiltonian_cycle  # noqa: F401
 from .hypercore import (
     BergeCycle,
     Coloring,
@@ -181,15 +183,12 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             continue
         lists = pair_edges(coloring, color)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
+        stage = "support graph not Hamiltonian"
         try:
-            if find_hamiltonian_cycle(
-                support, max_nodes=budget, counter=nodes
-            ) is None:
-                stages["colors"][color] = "support graph not Hamiltonian"
-                continue
             for cert in iter_hamiltonian_cycles(
                 support, max_nodes=budget, counter=nodes
             ):
+                stage = "all cores exhausted"
                 table = build_candidates(cert.order, color, coloring)
                 cycle = extend_matching(table, work_counter=aug)
                 if aug[0] + nodes[0] > budget:
@@ -199,7 +198,7 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
                     return SearchReport(
                         "found", color, cycle, stages, nodes[0], aug[0]
                     )
-            stages["colors"][color] = "all cores exhausted"
+            stages["colors"][color] = stage
         except SearchBudgetExceeded:
             stages["colors"][color] = "budget exhausted"
             parked.append(color)

@@ -207,11 +207,6 @@ class Coloring:
         return f"Coloring(n={p.n}, r={p.r}, k={p.k})"
 
 
-def color_of(index: int, coloring: Coloring) -> int:
-    """Color id of the colex-rank-`index` edge."""
-    return coloring.color_of(index)
-
-
 def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""
@@ -254,18 +249,16 @@ class Violation:
 def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violation]:
     """Check a Hamiltonian Berge-cycle certificate; None means valid.
 
-    Checks, in order: core is a permutation of [0, n); the claimed color class
-    has at least n edges; then per position (ascending, 1-based) the edge index
-    range, distinctness against earlier positions, containment of the core
-    pair, and the edge color.  The first failure is reported.
+    Checks, in order: core and edge tuples both have length n; core is a
+    permutation of [0, n); the claimed color class has at least n edges; then
+    per position (ascending, 1-based) the edge index range, distinctness
+    against earlier positions, containment of the core pair, and the edge
+    color.  The first failure is reported.
     """
     params = coloring.params
     n = params.n
     if len(cycle.core) != n or len(cycle.edges) != n:
-        raise ValueError(
-            f"cycle has {len(cycle.core)} core vertices / {len(cycle.edges)} "
-            f"edges, expected n={n}"
-        )
+        return Violation("wrong length")
     seen_v = set()
     for pos, v in enumerate(cycle.core, start=1):
         if not 0 <= v < n or v in seen_v:

@@ -71,11 +71,6 @@ class ColorProfile:
     def params(self):
         return self.coloring.params
 
-    def color_list(self, u: int, v: int) -> set[int]:
-        """L(uv): colors appearing on at least one hyperedge through u and v."""
-        row = self.pair_counts[self.pair_index[u, v]]
-        return {int(i) + 1 for i in np.flatnonzero(row > 0)}
-
     def good_colors(self, u: int, v: int) -> set[int]:
         """L*(uv): colors with at least good_threshold hyperedges through u, v."""
         if u == v:
@@ -94,16 +89,6 @@ class ColorProfile:
         if not 1 <= i <= p.k:
             raise ValueError(f"color {i} out of range")
         return int(self._deg[x, i - 1])
-
-    def _good_col(self, x: int, i: int) -> np.ndarray:
-        """Boolean vector over y: is color i good for the pair {x, y}."""
-        col = self._good[self.pair_index[x], i - 1]
-        col = col.copy()
-        col[x] = False
-        return col
-
-    def u_set(self, x: int, i: int) -> frozenset[int]:
-        return frozenset(int(y) for y in np.flatnonzero(self._good_col(x, i)))
 
     def ubar_set(self, x: int, i: int) -> frozenset[int]:
         bad = ~self._good[self.pair_index[x], i - 1]
@@ -128,10 +113,6 @@ class ColorProfile:
             "good_pairs_per_color": [int(c) for c in per_color],
             "pairs_with_empty_lstar": int(np.count_nonzero(~self._good.any(axis=1))),
         }
-
-
-def good_colors(u: int, v: int, profile: ColorProfile) -> set[int]:
-    return profile.good_colors(u, v)
 
 
 def color_degree(x: int, i: int, coloring: Coloring) -> int:

@@ -229,3 +229,36 @@ class TestEnumeration:
                 ):
                     brute += 1
             assert got == brute
+
+    def test_first_yield_is_plain_finder_certificate(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.9))
+            first = next(iter_hamiltonian_cycles(g), None)
+            plain = find_hamiltonian_cycle(g, use_closure=False)
+            assert (first is None) == (plain is None)
+            if first is not None:
+                assert first.order == plain.order
+
+    def test_yields_canonical_orders_ascending(self):
+        orders = [c.order for c in iter_hamiltonian_cycles(Graph.complete(6))]
+        assert len(orders) == 60
+        assert orders == sorted(orders)
+        assert all(o[0] == 0 and o[1] < o[-1] for o in orders)
+
+    def test_budget_raises_from_both_entry_points(self, petersen):
+        with pytest.raises(SearchBudgetExceeded):
+            list(iter_hamiltonian_cycles(petersen, max_nodes=3))
+        with pytest.raises(SearchBudgetExceeded):
+            find_hamiltonian_cycle(petersen, max_nodes=3)
+        with pytest.raises(SearchBudgetExceeded):
+            find_hamiltonian_cycle(petersen, max_nodes=3, use_closure=False)
+
+    def test_finder_and_enumerator_share_one_search(self, petersen):
+        # on a non-Hamiltonian graph both explore the same full search tree
+        counter = [0]
+        assert list(iter_hamiltonian_cycles(petersen, counter=counter)) == []
+        spent = counter[0]
+        assert spent > 0
+        assert find_hamiltonian_cycle(petersen, use_closure=False, counter=counter) is None
+        assert counter[0] == 2 * spent

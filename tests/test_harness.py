@@ -17,7 +17,9 @@ from bergeham.hypercore import iter_colex_edges
 
 # find_mono_berge at (10,3,12), random seeds 0-9: (seed, verdict, color,
 # core, edges, nodes, augmentations), recorded before the candidate tables
-# were read from the colex member table.
+# were read from the colex member table.  Seed 6's nodes fell from 31 to 29
+# when the search stopped running a separate Hamiltonicity check per color
+# before enumerating cores; every other field is as recorded.
 PINNED_10_3_12 = [
     (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 10),
     (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 4320, 4550),
@@ -25,7 +27,7 @@ PINNED_10_3_12 = [
     (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 264, 190),
     (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 3235, 1990),
     (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 4597, 3350),
-    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 31, 10),
+    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 29, 10),
     (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 852, 1250),
     (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 2403, 930),
     (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 40, 20),
@@ -70,6 +72,30 @@ class TestFindMonoBerge:
         coloring = Coloring(p, [1] * 4 + [2] * 6)
         report = find_mono_berge(coloring)
         assert report.stages["colors"][1] == "class too small"
+
+    def test_non_hamiltonian_support_stage(self):
+        # color 1 never covers vertex 5, so its support graph has no cycle
+        p = HyperParams(6, 3, 2)
+        coloring = Coloring(p, [2 if 5 in e else 1 for e in iter_colex_edges(6, 3)])
+        report = find_mono_berge(coloring)
+        assert report.stages["colors"] == {
+            1: "support graph not Hamiltonian",
+            2: "found",
+        }
+        assert report.verdict == "found" and report.color == 2
+
+    def test_all_cores_exhausted_stage(self):
+        # color 1 reaches vertex 4 through the single edge {0,1,4}; the
+        # support graph is Hamiltonian, but every core needs two distinct
+        # color-1 edges at vertex 4
+        p = HyperParams(5, 3, 2)
+        ones = {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)}
+        coloring = Coloring(
+            p, [1 if e in ones else 2 for e in iter_colex_edges(5, 3)]
+        )
+        report = find_mono_berge(coloring)
+        assert report.stages["colors"] == {1: "all cores exhausted", 2: "found"}
+        assert report.verdict == "found" and report.color == 2
 
     @pytest.mark.parametrize("pin", PINNED_10_3_12, ids=lambda pin: f"seed{pin[0]}")
     def test_pinned_reports(self, pin):

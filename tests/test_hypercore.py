@@ -9,6 +9,7 @@ from bergeham import (
     BergeCycle,
     Coloring,
     HyperParams,
+    Violation,
     find_mono_berge,
     gen_coloring,
     pair_supersets,
@@ -296,10 +297,12 @@ class TestVerifier:
         assert bad.kind == "core not a permutation"
         assert bad.position == 3
 
-    def test_dimension_mismatch_raises(self):
+    def test_dimension_mismatch_is_violation(self):
         coloring, cycle = square_cycle()
-        with pytest.raises(ValueError):
-            verify_berge_cycle(BergeCycle((0, 1, 2), cycle.edges, 1), coloring)
+        short_core = BergeCycle((0, 1, 2), cycle.edges, 1)
+        short_edges = BergeCycle(cycle.core, cycle.edges[:-1], 1)
+        for bad in (short_core, short_edges):
+            assert verify_berge_cycle(bad, coloring) == Violation("wrong length")
 
     def test_wrong_color_reported(self):
         # shadow-level cycle in K_4^2: one cycle edge recolored

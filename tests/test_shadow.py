@@ -14,7 +14,6 @@ from bergeham import (
     color_degree,
     find_avoiding_set,
     find_hamiltonian_cycle,
-    good_colors,
     minimal_breaking_subgraph,
     partition_trq,
     u_sets,
@@ -36,7 +35,7 @@ def striped(n, r, k):
 class TestGoodColors:
     def test_uniform_threshold_two(self):
         prof = ColorProfile(uniform(6, 3), good_threshold=2)
-        assert good_colors(0, 1, prof) == {1}
+        assert prof.good_colors(0, 1) == {1}
 
     def test_single_off_color_superset(self):
         # exactly one superset of {0,1} is color 2, the rest color 1
@@ -44,13 +43,13 @@ class TestGoodColors:
         colors = [1] * p.edge_count
         colors[rank_edge((0, 1, 2), p)] = 2
         c = Coloring(p, colors)
-        assert good_colors(0, 1, ColorProfile(c, good_threshold=2)) == {1}
-        assert good_colors(0, 1, ColorProfile(c, good_threshold=1)) == {1, 2}
+        assert ColorProfile(c, good_threshold=2).good_colors(0, 1) == {1}
+        assert ColorProfile(c, good_threshold=1).good_colors(0, 1) == {1, 2}
 
     def test_rejects_equal_endpoints(self):
         prof = ColorProfile(uniform(6, 3))
         with pytest.raises(ValueError):
-            good_colors(1, 1, prof)
+            prof.good_colors(1, 1)
 
     def test_monotone_under_recoloring(self):
         # turning one more hyperedge to color i never shrinks the good set for i
@@ -64,9 +63,9 @@ class TestGoodColors:
             bumped[t] = 2
             after = ColorProfile(Coloring(p, bumped), good_threshold=2)
             for u, v in combinations(range(7), 2):
-                before_good = 2 in good_colors(u, v, base)
+                before_good = 2 in base.good_colors(u, v)
                 if before_good:
-                    assert 2 in good_colors(u, v, after)
+                    assert 2 in after.good_colors(u, v)
 
 
 class TestColorDegree:
@@ -243,7 +242,7 @@ class TestBadEdgeGraph:
         for i in (1, 2, 3):
             w = bad_edge_graph(i, prof)
             for u, v in combinations(range(6), 2):
-                assert w.has_edge(u, v) == (i not in good_colors(u, v, prof))
+                assert w.has_edge(u, v) == (i not in prof.good_colors(u, v))
 
 
 class TestMinimalBreakingSubgraph:
