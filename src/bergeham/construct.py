@@ -23,11 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .extend import build_candidates, extend_greedy_ordered, extend_matching, max_position_matching
+from .extend import build_candidates, distinct_representatives, extend_greedy_ordered, extend_matching
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
 from .hypercore import BergeCycle, Coloring, rank_edge, unrank_edge
 from .shadow import ColorProfile, _greedy_avoiding, avoids, default_degree_bound
+
+GAMMA_NODE_BUDGET = 2_000_000
 
 
 class GammaBuildError(Exception):
@@ -99,13 +101,6 @@ class Witness:
             raise ValueError("y_1..y_f do not avoid the first f colors")
 
 
-def _distinct_representatives(sets: list[list[int]]) -> Optional[list[int]]:
-    match = max_position_matching(sets)
-    if len(match) < len(sets):
-        return None
-    return [match[i] for i in range(len(sets))]
-
-
 def witness_search(
     profile: ColorProfile, d_bound: Optional[int] = None
 ) -> Optional[Witness]:
@@ -147,7 +142,7 @@ def witness_search(
                 pools = [
                     sorted(profile.ubar_set(x, i) - taken) for i in rest
                 ]
-                tail = _distinct_representatives(pools)
+                tail = distinct_representatives(pools)
                 if tail is None:
                     continue
                 perm = [0] * k
@@ -275,25 +270,56 @@ def build_gamma_case1(witness: Witness, profile: ColorProfile) -> GammaBundle:
     return GammaBundle(gamma, reserved, 1, target, witness, info)
 
 
-def _fresh_edge_scan(
-    vertex: int,
+def _repair_degrees(
+    vertices: list[int],
+    graph: Graph,
     exclusion: set[int],
     edges: np.ndarray,
     rows: np.ndarray,
-    used: set[int],
-) -> Optional[tuple[int, int]]:
-    """First unused target-color hyperedge through `vertex` with a vertex
-    outside `exclusion`; `edges` and `rows` are the class edges and their
-    member rows.  Returns (hyperedge index, fresh vertex)."""
-    ok = (rows == vertex).any(axis=1)
-    ok &= ~np.isin(rows, list(exclusion)).all(axis=1)
-    ok &= ~np.isin(edges, list(used))
-    hits = np.flatnonzero(ok)
-    if not hits.size:
-        return None
-    j = hits[0]
-    fresh = next(w for w in rows[j].tolist() if w not in exclusion)
-    return int(edges[j]), fresh
+    reserved: dict[tuple[int, int], int],
+) -> tuple[list[tuple[int, int]], list[int], list[int], set[int]]:
+    """Raise each vertex's degree in `graph` above 2r with fresh hyperedges.
+
+    Vertex v of degree d takes t = max(0, 2r+1-d) target-color hyperedges
+    through it (`edges`, member `rows`) that no gamma edge reserves yet,
+    lowest first, each with a contact vertex outside `exclusion`, v, v's
+    neighbors and contacts, and the vertices that took v as a contact; the
+    new gamma edge is reserved.  Returns the added edges, t and d per vertex,
+    and the vertices of the hyperedges taken.
+    """
+    r = rows.shape[1]  # members per hyperedge
+    used = set(reserved.values())
+    added: list[tuple[int, int]] = []
+    counts: list[int] = []
+    degrees: list[int] = []
+    cover: set[int] = set()
+    partners: dict[int, set[int]] = {}
+    for v in vertices:
+        d = graph.degree(v)
+        degrees.append(d)
+        counts.append(max(0, 2 * r + 1 - d))
+        blocked = exclusion | {v} | set(graph.neighbors(v)) | partners.get(v, set())
+        through = (rows == v).any(axis=1)
+        for _ in range(counts[-1]):
+            ok = through & ~np.isin(rows, list(blocked)).all(axis=1)
+            hits = np.flatnonzero(ok & ~np.isin(edges, list(used)))
+            if not hits.size:
+                raise GammaBuildError(
+                    f"degree repair exhausted the target-color hyperedges "
+                    f"through vertex {v}",
+                    failing_vertex=v,
+                )
+            members = rows[hits[0]].tolist()
+            h = int(edges[hits[0]])
+            fresh = next(w for w in members if w not in blocked)
+            used.add(h)
+            blocked.add(fresh)
+            cover.update(members)
+            partners.setdefault(fresh, set()).add(v)
+            key = _edge_key(v, fresh)
+            added.append(key)
+            reserved[key] = h
+    return added, counts, degrees, cover
 
 
 def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
@@ -301,10 +327,11 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
 
     Five edge classes: pairs certified by target-colored hyperedges through x
     and a bad-pair vertex (reserved); a partition of the x-certified vertices
-    distributed to the witness vertices (reserved); greedy degree repairs for
-    the bad-pair vertices at x and for the all-good vertices (both reserved,
-    always on previously unused hyperedges with fresh contact vertices); and x
-    joined to everything the repairs did not touch.
+    distributed to the witness vertices (reserved); two rounds of one greedy
+    degree repair, `_repair_degrees`, first for the bad-pair vertices at x on
+    that graph, then for the r lowest-degree all-good vertices on the result
+    (reserved, always on previously unused hyperedges with fresh contact
+    vertices); and x joined to everything the repairs did not touch.
 
     Raises GammaBuildError when |Ubar_{f+1}(x)| exceeds r-2, when too few
     hyperedges through x and Y have the target color, or when a repair step
@@ -381,101 +408,35 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
                 reserved[key] = rank_edge(sorted(Y + [x, v]), p)
     gamma1 = Graph(n, e1 + e2)
 
-    # E3: degree repairs for the bad-pair vertices at x
-    used = set(reserved.values())
-    e3 = []
-    t_list = []
-    u_gamma1_deg = []
-    repaired: dict[int, list[tuple[int, int]]] = {}
-    a_cover: set[int] = set()
-    for u_i in u_list:
-        d1 = gamma1.degree(u_i)
-        u_gamma1_deg.append(d1)
-        t_i = 0 if d1 > 2 * r else 2 * r + 1 - d1
-        t_list.append(t_i)
-        exclusion = set(Y) | set(u_list) | {x} | set(gamma1.neighbors(u_i))
-        got = []
-        for _ in range(t_i):
-            hit = _fresh_edge_scan(u_i, exclusion, edges, rows, used)
-            if hit is None:
-                raise GammaBuildError(
-                    f"degree repair exhausted the target-color hyperedges "
-                    f"through vertex {u_i}",
-                    failing_vertex=u_i,
-                )
-            h, fresh = hit
-            used.add(h)
-            exclusion.add(fresh)
-            a_cover.update(unrank_edge(h, p))
-            key = _edge_key(u_i, fresh)
-            got.append((key, h))
-            e3.append(key)
-            reserved[key] = h
-        repaired[u_i] = got
+    # E3 and E4: degree repairs for the bad-pair vertices at x, then for the
+    # vertices where every color is good at x
+    exclusion = yset | set(u_list) | {x}
+    e3, t_list, u_gamma1_deg, a_cover = _repair_degrees(
+        u_list, gamma1, exclusion, edges, rows, reserved
+    )
     gamma2 = gamma1.with_edges(e3)
-
-    # E4: same repair for the vertices where every color is good at x
     w_all = sorted(
         (w for w in range(n) if w != x
          and all(profile.is_good(x, w, c) for c in range(1, k + 1))),
+        key=lambda w: (gamma2.degree(w), w),
     )
-    w_all.sort(key=lambda w: (gamma2.degree(w), w))
-    w_processed = w_all[: min(r, len(w_all))]
-    e4 = []
-    tp_list = []
-    w_gamma2_deg = []
-    b_cover: set[int] = set()
-    e4_partners: dict[int, set[int]] = {}
-    for w_i in w_processed:
-        d2 = gamma2.degree(w_i)
-        w_gamma2_deg.append(d2)
-        tp = 0 if d2 > 2 * r else 2 * r + 1 - d2
-        tp_list.append(tp)
-        # contact vertices must also dodge repair edges from earlier rounds,
-        # otherwise two rounds could claim the same gamma edge
-        exclusion = (
-            set(Y)
-            | set(u_list)
-            | {x}
-            | set(gamma2.neighbors(w_i))
-            | e4_partners.get(w_i, set())
-        )
-        for _ in range(tp):
-            hit = _fresh_edge_scan(w_i, exclusion, edges, rows, used)
-            if hit is None:
-                raise GammaBuildError(
-                    f"degree repair exhausted the target-color hyperedges "
-                    f"through vertex {w_i}",
-                    failing_vertex=w_i,
-                )
-            h, fresh = hit
-            used.add(h)
-            exclusion.add(fresh)
-            b_cover.update(unrank_edge(h, p))
-            key = _edge_key(w_i, fresh)
-            e4.append(key)
-            e4_partners.setdefault(w_i, set()).add(fresh)
-            e4_partners.setdefault(fresh, set()).add(w_i)
-            reserved[key] = h
+    w_processed = w_all[:r]
+    e4, tp_list, w_gamma2_deg, b_cover = _repair_degrees(
+        w_processed, gamma2, exclusion, edges, rows, reserved
+    )
 
     # E5: x joined to everything untouched by the repairs
-    blocked = yset | set(u_list) | a_cover | b_cover | {x}
+    blocked = exclusion | a_cover | b_cover
     e5 = [_edge_key(x, v) for v in range(n) if v not in blocked]
     gamma = gamma2.with_edges(e4 + e5)
 
-    for u_i in u_list:
-        if gamma.degree(u_i) <= 2 * r:
+    labelled = [("bad-pair", u) for u in u_list] + [("all-good", w) for w in w_processed]
+    for kind, v in labelled:
+        if gamma.degree(v) <= 2 * r:
             raise GammaBuildError(
-                f"bad-pair vertex {u_i} ended with gamma degree "
-                f"{gamma.degree(u_i)} <= 2r",
-                failing_vertex=u_i,
-            )
-    for w_i in w_processed:
-        if gamma.degree(w_i) <= 2 * r:
-            raise GammaBuildError(
-                f"all-good vertex {w_i} ended with gamma degree "
-                f"{gamma.degree(w_i)} <= 2r",
-                failing_vertex=w_i,
+                f"{kind} vertex {v} ended with gamma degree "
+                f"{gamma.degree(v)} <= 2r",
+                failing_vertex=v,
             )
 
     info = {
@@ -524,7 +485,6 @@ def constructive_find(
     coloring: Coloring,
     d_bound: Optional[int] = None,
     good_threshold: Optional[int] = None,
-    max_nodes: Optional[int] = 2_000_000,
 ) -> ConstructOutcome:
     """Witness search, auxiliary graph, Hamiltonian cycle, then extension.
 
@@ -547,7 +507,7 @@ def constructive_find(
     except GammaBuildError as err:
         return ConstructOutcome("gamma", witness=witness, detail=str(err))
     try:
-        cert = find_hamiltonian_cycle(bundle.gamma, max_nodes)
+        cert = find_hamiltonian_cycle(bundle.gamma, GAMMA_NODE_BUDGET)
     except SearchBudgetExceeded as err:
         return ConstructOutcome(
             "hamilton", witness=witness, bundle=bundle, detail=str(err)

@@ -83,16 +83,20 @@ def _augment(
     return False
 
 
-def max_position_matching(
+def distinct_representatives(
     cands: list[list[int]], work_counter: Optional[list[int]] = None
-) -> dict[int, int]:
-    """Maximum matching positions -> candidate values (augmenting paths)."""
+) -> Optional[list[int]]:
+    """One distinct value per position via augmenting paths, or None when the
+    positions admit no system of distinct representatives."""
     owner: dict[int, int] = {}
     for pos in range(len(cands)):
         if work_counter is not None:
             work_counter[0] += 1
         _augment(pos, cands, owner, set())
-    return {pos: e for e, pos in owner.items()}
+    if len(owner) < len(cands):
+        return None
+    return sorted(owner, key=owner.get)  # each position owns one value
+
 
 def _finish(table: CandidateTable, assignment: Sequence[int]) -> BergeCycle:
     cycle = BergeCycle(table.core, tuple(assignment), table.color)
@@ -106,11 +110,8 @@ def extend_matching(
     table: CandidateTable, work_counter: Optional[list[int]] = None
 ) -> Optional[BergeCycle]:
     """Exact extension: a cycle exists iff positions admit a perfect matching."""
-    n = len(table.core)
-    match = max_position_matching(table.candidates, work_counter)
-    if len(match) < n:
-        return None
-    return _finish(table, [match[i] for i in range(n)])
+    reps = distinct_representatives(table.candidates, work_counter)
+    return None if reps is None else _finish(table, reps)
 
 
 def extend_greedy_ordered(

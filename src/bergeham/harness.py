@@ -37,6 +37,7 @@ from .hypercore import (
 )
 
 NAIVE_MAX_N = 9
+MAX_SWEEP_COLORINGS = 5_000_000
 
 
 @dataclass
@@ -289,7 +290,6 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
 def exhaustive_verify(
     params: HyperParams,
     shards: int = 1,
-    max_total: int = 5_000_000,
     workers: int = 1,
 ) -> ExhaustReport:
     """Sweep every k-coloring of K_n^r and count which contain a
@@ -302,10 +302,10 @@ def exhaustive_verify(
     count.  Up to 100 lexicographically smallest failing colorings are kept.
     """
     total = params.k ** params.edge_count
-    if total > max_total:
+    if total > MAX_SWEEP_COLORINGS:
         raise ValueError(
             f"{params.k}^{params.edge_count} = {total} colorings exceed the "
-            f"{max_total} cap; narrow the parameters or raise max_total"
+            f"{MAX_SWEEP_COLORINGS} cap; narrow the parameters"
         )
     if shards < 1:
         raise ValueError("need at least one shard")

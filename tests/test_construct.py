@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -16,7 +17,9 @@ from bergeham import (
     verify_berge_cycle,
     witness_search,
 )
+from bergeham.construct import _repair_degrees
 from bergeham.fixtures import case1_fixture, case2_fixture
+from bergeham.graphs import Graph
 from bergeham.hypercore import iter_colex_edges
 
 
@@ -197,6 +200,102 @@ class TestCase2:
         out = tmp_path / "bundle.json"
         b.dump_json(out)
         assert json.loads(out.read_text())["case"] == 2
+
+    def test_repair_exhaustion_names_vertex(self):
+        # every class edge through 0 meets the exclusion except those holding
+        # 4 or 5; after two repairs both are contacts, so the third fails.
+        # Vertex 0 lies outside the exclusion and must never be its own contact.
+        coloring = uniform(6, 3, 1)
+        edges, rows = coloring.class_members(1)
+        reserved = {}
+        with pytest.raises(GammaBuildError) as err:
+            _repair_degrees([0], Graph(6, []), {1, 2, 3}, edges, rows, reserved)
+        assert err.value.failing_vertex == 0
+        assert "exhausted" in str(err.value)
+        assert sorted(reserved) == [(0, 4), (0, 5)]
+
+    def test_all_good_repair_never_contacts_itself(self):
+        # thin out color 1 through {0, 17} so that the all-good vertex 17
+        # needs three repairs; 17 must never be taken as its own contact
+        base = case2_fixture()
+        w = witness_search(ColorProfile(base, good_threshold=2), d_bound=0)
+        colors = [
+            2 if c == 1 and 0 in e and 17 in e and t % 3 == 0 else c
+            for t, (e, c) in enumerate(zip(iter_colex_edges(24, 5), base.colors))
+        ]
+        prof = ColorProfile(Coloring(base.params, colors), good_threshold=2)
+        b = build_gamma_case2(w, prof)
+        b.validate(prof)
+        assert b.info["w_list"][1] == 17 and b.info["t_prime"][1] == 3
+        assert all(u != v for u, v in b.reserved)
+        assert b.gamma.degree(17) > 2 * 5
+
+
+# Constructive outputs recorded before the two degree-repair rounds were
+# merged into one routine; a refactor must not pick different hyperedges.
+CASE2_BUNDLE_SHA256 = "49a323f19b1af7879157990a93138ccf945c40667edb4118fe6875fd80151392"
+CASE2_BUNDLE_INFO = {
+    "A_cover": list(range(1, 16)),
+    "A_parts": {
+        "1": [],
+        "2": [18, 20, 22],
+        "3": [19, 21, 23],
+        "4": [4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
+    },
+    "B_cover": [],
+    "E_sizes": {"E1": 143, "E2": 19, "E3": 11, "E4": 0, "E5": 8},
+    "U": [4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+    "Y": [2, 3, 5],
+    "t": [11],
+    "t_prime": [0, 0, 0, 0, 0],
+    "u_gamma1_deg": [0],
+    "ubar_f1": [1],
+    "w_gamma2_deg": [12, 12, 12, 12, 12],
+    "w_list": [17, 18, 19, 20, 21],
+    "w_total": 8,
+    "w_truncated": True,
+    "x": 0,
+}
+PINNED_CYCLES = {
+    "case1": (
+        4,
+        [0, 10, 1, 11, 2, 3, 4, 5, 6, 7, 8, 9],
+        [253, 252, 463, 462, 1, 0, 2, 11, 36, 91, 196, 126],
+    ),
+    "case2": (
+        1,
+        [22, 2, 20, 15, 18, 13, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 17, 14, 19, 16,
+         21, 3, 23, 0],
+        [26341, 15511, 16871, 9935, 9285, 1300, 32, 4, 13, 38, 93, 198, 380, 674,
+         1124, 6685, 7191, 12631, 13450, 22171, 20356, 33656, 33652, 26344],
+    ),
+}
+
+
+class TestPinnedOutputs:
+    def test_case2_bundle(self, bundle):
+        _, _, b = bundle
+        blob = b.to_json()
+        assert blob["info"] == CASE2_BUNDLE_INFO
+        digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+        assert digest == CASE2_BUNDLE_SHA256
+
+    @pytest.mark.parametrize(
+        "name, coloring, kwargs",
+        [
+            ("case1", case1_fixture, {}),
+            ("case2", case2_fixture, {"d_bound": 0, "good_threshold": 2}),
+        ],
+    )
+    def test_constructive_cycle(self, name, coloring, kwargs):
+        out = constructive_find(coloring(), **kwargs)
+        assert out.found
+        color, core, edges = PINNED_CYCLES[name]
+        assert (out.color, list(out.cycle.core), list(out.cycle.edges)) == (
+            color,
+            core,
+            edges,
+        )
 
 
 class TestPipeline:
