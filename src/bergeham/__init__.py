@@ -22,7 +22,13 @@ from .construct import (
     constructive_find,
     witness_search,
 )
-from .extend import CandidateTable, build_candidates, extend_greedy_ordered, extend_matching
+from .extend import (
+    CandidateTable,
+    PrefixSDR,
+    build_candidates,
+    extend_greedy_ordered,
+    extend_matching,
+)
 from .graphs import Graph
 from .hamilton import (
     CycleCertificate,

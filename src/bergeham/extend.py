@@ -9,6 +9,11 @@ Two strategies: `extend_matching` decides SDR existence exactly via
 augmenting-path bipartite matching; `extend_greedy_ordered` assigns positions
 in order, honoring reserved hyperedges, picking the lowest unused candidate
 otherwise.  Greedy is sound but incomplete; matching is complete.
+
+`PrefixSDR` runs the same augmenting-path matching incrementally, one pair at
+a time with exact undo, so the Hamiltonian backtracker can grow a matching as
+it grows a path and drop every prefix whose pairs have no distinct
+representatives (Hall's theorem).
 """
 
 from __future__ import annotations
@@ -72,29 +77,93 @@ def _augment(
     cands: list[list[int]],
     owner: dict[int, int],
     visited: set[int],
+    journal: list[tuple[int, Optional[int]]],
 ) -> bool:
+    """One augmenting-path attempt from position pos.  Every reassignment is
+    logged in the journal as (edge, previous owner); a failed attempt changes
+    nothing."""
     for e in cands[pos]:
         if e in visited:
             continue
         visited.add(e)
-        if e not in owner or _augment(owner[e], cands, owner, visited):
+        if e not in owner or _augment(owner[e], cands, owner, visited, journal):
+            journal.append((e, owner.get(e)))
             owner[e] = pos
             return True
     return False
+
+
+class PrefixSDR:
+    """Distinct representatives for a growing sequence of vertex pairs.
+
+    Pair i draws from pair_lists[(u, v)] (u < v, ascending edge lists).  Each
+    push makes one augmenting-path attempt for the new pair, counted in
+    work_counter[0], and is refused when none exists: by Hall's theorem no
+    extension of the sequence then has distinct representatives.  `pop`
+    undoes the last accepted push exactly, so after any sequence of pushes
+    and pops the matching is the one `distinct_representatives` gives for the
+    pairs still held.  Usable as the backtracker's prefix hook.
+    """
+
+    def __init__(
+        self,
+        pair_lists: dict[tuple[int, int], list[int]],
+        work_counter: Optional[list[int]] = None,
+    ):
+        self.pair_lists = pair_lists
+        self.work_counter = work_counter
+        self.cands: list[list[int]] = []
+        self.refused = 0  # pushes refused so far
+        self.longest = 0  # most pairs a push has tried to hold
+        self._owner: dict[int, int] = {}
+        self._journal: list[tuple[int, Optional[int]]] = []
+        self._marks: list[int] = []
+
+    def push(self, u: int, v: int) -> bool:
+        if self.work_counter is not None:
+            self.work_counter[0] += 1
+        cands = self.cands
+        cands.append(self.pair_lists[(u, v) if u < v else (v, u)])
+        if len(cands) > self.longest:
+            self.longest = len(cands)
+        mark = len(self._journal)
+        if _augment(len(cands) - 1, cands, self._owner, set(), self._journal):
+            self._marks.append(mark)
+            return True
+        cands.pop()
+        self.refused += 1
+        return False
+
+    def pop(self) -> None:
+        self.cands.pop()
+        mark = self._marks.pop()
+        journal, owner = self._journal, self._owner
+        while len(journal) > mark:
+            e, prev = journal.pop()
+            if prev is None:
+                del owner[e]
+            else:
+                owner[e] = prev
+
+    def representatives(self) -> list[int]:
+        """The edge matched to each pair held, in push order."""
+        return sorted(self._owner, key=self._owner.get)  # one edge per pair
 
 
 def distinct_representatives(
     cands: list[list[int]], work_counter: Optional[list[int]] = None
 ) -> Optional[list[int]]:
     """One distinct value per position via augmenting paths, or None when the
-    positions admit no system of distinct representatives."""
+    positions admit no system of distinct representatives.  Positions are
+    tried in order, one augmenting-path attempt each, and the first position
+    left unmatched ends the search."""
     owner: dict[int, int] = {}
+    journal: list[tuple[int, Optional[int]]] = []
     for pos in range(len(cands)):
         if work_counter is not None:
             work_counter[0] += 1
-        _augment(pos, cands, owner, set())
-    if len(owner) < len(cands):
-        return None
+        if not _augment(pos, cands, owner, set(), journal):
+            return None
     return sorted(owner, key=owner.get)  # each position owns one value
 
 

@@ -10,10 +10,13 @@ two neighbors among the unvisited vertices, the path's end and vertex 0.  It
 yields each Hamiltonian cycle once, as the order whose second vertex is
 smaller than its last, in lexicographic order.  `iter_hamiltonian_cycles`
 exposes the whole enumeration; `find_hamiltonian_cycle` takes its first
-cycle.  The finder's default strategy: close the graph, take the first cycle
-of the closure (none is searched for when the closure is complete), then peel
-the added edges in reverse order via the transfer step, so the closure lemma
-does the heavy lifting.
+cycle.  An optional prefix hook can veto path pairs as the search grows
+them, which cuts whole subtrees; the Berge-cycle search uses it to stop at a
+path prefix whose pairs have no distinct hyperedges (Hall's theorem).  The
+finder's default strategy: close the graph, take the first cycle of the
+closure (none is searched for when the closure is complete), then peel the
+added edges in reverse order via the transfer step, so the closure lemma does
+the heavy lifting.
 
 Budgets are node-expansion counts, never wall clock, so verdicts are
 reproducible.  Exhausting a budget raises SearchBudgetExceeded; a plain None
@@ -23,7 +26,7 @@ from the finder means "proven non-Hamiltonian".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Protocol
 
 from .graphs import Graph, _bits
 
@@ -151,14 +154,32 @@ def transfer_cycle(
     return out
 
 
+class PrefixHook(Protocol):
+    """Veto on the pairs of the path the backtracker grows.
+
+    `push(u, v)` is asked before the search moves along the pair uv; False
+    skips that branch and must leave the hook as it was.  `pop()` takes back
+    the last accepted push.
+    """
+
+    def push(self, u: int, v: int) -> bool: ...
+
+    def pop(self) -> None: ...
+
+
 def _cycle_orders(
-    masks: list[int], max_nodes: Optional[int], counter: list[int]
+    masks: list[int],
+    max_nodes: Optional[int],
+    counter: list[int],
+    hook: Optional[PrefixHook] = None,
 ) -> Iterator[tuple[int, ...]]:
     """The exact backtracker described in the module docstring.
 
     Yields every Hamiltonian cycle of the adjacency masks as a vertex order.
     Node expansions accumulate in counter[0]; max_nodes caps them by raising
-    SearchBudgetExceeded.
+    SearchBudgetExceeded.  With a hook, each tree edge (v, w) is pushed before
+    the search descends to w, and the closing pair (v_{n-1}, v_0) before a
+    cycle is yielded; a refused push cuts that subtree or that cycle.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -172,18 +193,27 @@ def _cycle_orders(
             raise SearchBudgetExceeded(f"node budget {max_nodes} exhausted")
         if used == full:
             if masks[v] & 1 and path[1] < path[-1]:
-                yield tuple(path)
+                if hook is None:
+                    yield tuple(path)
+                elif hook.push(v, 0):
+                    yield tuple(path)
+                    hook.pop()
             return
         un = full & ~used
         if not masks[0] & un:
             return
+        reach = un | (1 << v) | 1
         for w in _bits(un):
-            if (masks[w] & (un | (1 << v) | 1)).bit_count() < 2:
+            if (masks[w] & reach).bit_count() < 2:
                 return
         for w in _bits(masks[v] & un):
+            if hook is not None and not hook.push(v, w):
+                continue
             path.append(w)
             yield from step(w, used | (1 << w))
             path.pop()
+            if hook is not None:
+                hook.pop()
 
     yield from step(0, 1)
 
@@ -234,15 +264,20 @@ def iter_hamiltonian_cycles(
     g: Graph,
     max_nodes: Optional[int] = None,
     counter: Optional[list[int]] = None,
+    prefix_hook: Optional[PrefixHook] = None,
 ) -> Iterator[CycleCertificate]:
     """Enumerate all Hamiltonian cycles, one per rotation/reflection class.
 
     Cycles are anchored at vertex 0 with second vertex < last vertex, yielded
     in lexicographic order of that canonical form.  `counter`, when given,
     accumulates node expansions in its first slot and max_nodes caps it.
+    `prefix_hook` sees every pair of the growing path (see `PrefixHook`); the
+    cycles it lets through keep their order, and while one is being yielded
+    all of its n pairs are pushed on the hook.
     """
     if g.n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")
     masks = [g.adjacency_mask(v) for v in range(g.n)]
-    for order in _cycle_orders(masks, max_nodes, [0] if counter is None else counter):
+    counter = [0] if counter is None else counter
+    for order in _cycle_orders(masks, max_nodes, counter, prefix_hook):
         yield CycleCertificate(order)

@@ -1,8 +1,9 @@
 """End-user search pipeline, independent oracle, and exhaustive verification.
 
 `find_mono_berge` is the production search: per color class large enough to
-matter, it enumerates Hamiltonian cycles of the pair-support graph and asks
-the matching extender for distinct representatives, falling back to the
+matter, it runs the Hamiltonian backtracker on the pair-support graph with a
+prefix matcher hooked in, so the path and its distinct hyperedges grow
+together and a prefix with none is cut (Hall's theorem); it falls back to the
 constructive pipeline when budgets bite.  `naive_oracle` is the deliberately
 independent ground truth (permutations plus brute-force SDR, no graph
 machinery), and `exhaustive_verify` sweeps an entire coloring space.
@@ -22,11 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .construct import constructive_find
-from .extend import build_candidates, extend_matching
+# Unused here; kept importable because the perfbench tracer wraps these names.
+from .extend import build_candidates, extend_matching  # noqa: F401
+from .extend import PrefixSDR
 from .graphs import Graph
-from .hamilton import SearchBudgetExceeded, iter_hamiltonian_cycles
-# Unused here; kept importable because the perfbench tracer wraps this name.
-from .hamilton import find_hamiltonian_cycle  # noqa: F401
+from .hamilton import (
+    SearchBudgetExceeded,
+    find_hamiltonian_cycle,
+    iter_hamiltonian_cycles,
+)
 from .hypercore import (
     BergeCycle,
     Coloring,
@@ -157,18 +162,43 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     return _decide_exact(coloring)
 
 
+class _BudgetedSDR(PrefixSDR):
+    """Prefix matcher that ends the search once nodes plus augmentations pass
+    the budget.  The backtracker pushes before every node but the root, so
+    the whole allowance is checked at every node."""
+
+    def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int):
+        super().__init__(pair_lists, aug)
+        self.nodes = nodes
+        self.budget = budget
+
+    def push(self, u: int, v: int) -> bool:
+        if self.nodes[0] + self.work_counter[0] > self.budget:
+            raise SearchBudgetExceeded("work budget exhausted")
+        return super().push(u, v)
+
+
 def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport:
     """Search for a monochromatic Hamiltonian Berge-cycle.
 
     Per color with a large enough class: every Hamiltonian cycle of the graph
-    of covered pairs is a candidate core (there are no others), and the
-    matching extender decides each one exactly.  A budget hit parks the color;
-    parked colors get one constructive attempt, and the verdict is undecided
-    only if some color stays unresolved.
+    of covered pairs is a candidate core (there are no others), and a core
+    works exactly when its n pairs have distinct hyperedges of the color.  One
+    backtracker per color grows the path together with a matching of its
+    pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
+    first cycle it yields is the answer: the first core, in the backtracker's
+    order, that has distinct edges, with the edges that augmenting-path
+    matching of its pairs in order gives.  A color that yields nothing is
+    "all cores exhausted" when its support graph is Hamiltonian (seen by the
+    search itself, or by a plain first-cycle search when the matcher cut some
+    branch) and "support graph not Hamiltonian" otherwise.  A budget hit parks
+    the color; parked colors get one constructive attempt, and the verdict is
+    undecided only if some color stays unresolved.
 
     The budget is cumulative across colors, not a fresh allowance per color:
-    search nodes and matching augmentations spent on earlier colors count
-    against later ones.  Under a tight budget the verdict can therefore
+    search nodes and augmenting-path attempts (one per search-tree edge)
+    spent on earlier colors count against later ones, and the total is
+    checked at every node.  Under a tight budget the verdict can therefore
     depend on how the colors are numbered.
     """
     p = coloring.params
@@ -184,22 +214,30 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             continue
         lists = pair_edges(coloring, color)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
-        stage = "support graph not Hamiltonian"
+        sdr = _BudgetedSDR(lists, aug, nodes, budget)
         try:
             for cert in iter_hamiltonian_cycles(
-                support, max_nodes=budget, counter=nodes
+                support, max_nodes=budget, counter=nodes, prefix_hook=sdr
             ):
-                stage = "all cores exhausted"
-                table = build_candidates(cert.order, color, coloring)
-                cycle = extend_matching(table, work_counter=aug)
-                if aug[0] + nodes[0] > budget:
-                    raise SearchBudgetExceeded("work budget exhausted")
-                if cycle is not None:
-                    stages["colors"][color] = "found"
-                    return SearchReport(
-                        "found", color, cycle, stages, nodes[0], aug[0]
-                    )
-            stages["colors"][color] = stage
+                cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)
+                bad = verify_berge_cycle(cycle, coloring)
+                if bad is not None:
+                    raise RuntimeError(f"search produced an invalid cycle: {bad}")
+                stages["colors"][color] = "found"
+                return SearchReport("found", color, cycle, stages, nodes[0], aug[0])
+            # nothing yielded: either the search completed a cycle and the
+            # matcher refused it, or a refused pair may have cut off the only
+            # cycles, and a plain search decides
+            hamiltonian = sdr.longest == n or (
+                sdr.refused > 0
+                and find_hamiltonian_cycle(
+                    support, max_nodes=budget - aug[0], use_closure=False, counter=nodes
+                )
+                is not None
+            )
+            stages["colors"][color] = (
+                "all cores exhausted" if hamiltonian else "support graph not Hamiltonian"
+            )
         except SearchBudgetExceeded:
             stages["colors"][color] = "budget exhausted"
             parked.append(color)

@@ -8,11 +8,17 @@ and the colors are renamed.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bergeham import Coloring, HyperParams, find_mono_berge, naive_oracle, verify_berge_cycle
 from bergeham.hypercore import edge_members, rank_edge
 
 SPACES = [(6, 3, 3), (7, 3, 4), (7, 3, 5), (7, 4, 8), (8, 3, 6), (8, 3, 8)]
 PER_SPACE = 50
+# more colors than SPACES, so that about one drawn coloring in seven is
+# not-found, few of them only because every class is too small
+DRAWN_SPACES = [(6, 3, 4), (7, 3, 6), (8, 3, 9), (8, 3, 10)]
 
 
 def relabel(coloring, vertex_perm, color_perm):
@@ -55,3 +61,20 @@ def test_search_agrees_with_oracle_and_relabelling():
             else:
                 not_found += 1
     assert not_found >= 1
+
+
+@st.composite
+def small_colorings(draw):
+    n, r, k = draw(st.sampled_from(DRAWN_SPACES))
+    p = HyperParams(n, r, k)
+    rng = draw(st.randoms(use_true_random=False))
+    return Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)])
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_colorings())
+def test_search_agrees_with_oracle_on_drawn_colorings(coloring):
+    report = find_mono_berge(coloring)
+    assert report.verdict == naive_oracle(coloring).verdict
+    if report.verdict == "found":
+        assert verify_berge_cycle(report.cycle, coloring) is None

@@ -13,6 +13,8 @@ from bergeham import (
     pair_supersets,
     verify_berge_cycle,
 )
+from bergeham.extend import PrefixSDR, distinct_representatives
+from bergeham.harness import _sdr_search
 
 
 def uniform(n, r, k=1):
@@ -29,6 +31,39 @@ def sdr_brute(pools):
         return any(e not in used and go(i + 1, used | {e}) for e in pools[i])
 
     return go(0, frozenset())
+
+
+def representatives_unstopped(cands, work_counter):
+    """Augmenting-path matching as it was before it stopped at the first
+    unmatched position: every position gets its attempt."""
+    owner = {}
+
+    def augment(pos, visited):
+        for e in cands[pos]:
+            if e in visited:
+                continue
+            visited.add(e)
+            if e not in owner or augment(owner[e], visited):
+                owner[e] = pos
+                return True
+        return False
+
+    for pos in range(len(cands)):
+        work_counter[0] += 1
+        augment(pos, set())
+    if len(owner) < len(cands):
+        return None
+    return sorted(owner, key=owner.get)
+
+
+def random_pools(rng):
+    """Positions drawing from a small value range, so SDRs often fail."""
+    m = rng.randint(1, 9)
+    values = rng.randint(1, m + 2)
+    return [
+        sorted(rng.sample(range(values), rng.randint(0, min(values, 4))))
+        for _ in range(m)
+    ]
 
 
 def random_table(rng):
@@ -178,3 +213,62 @@ class TestGreedyOrdered:
             if greedy is not None:
                 assert extend_matching(table) is not None
                 assert verify_berge_cycle(greedy, table.coloring) is None
+
+
+class TestDistinctRepresentatives:
+    def test_agrees_with_brute_force_and_unstopped_matching(self):
+        rng = random.Random(83)
+        saved = 0
+        for _ in range(600):
+            pools = random_pools(rng)
+            now, before = [0], [0]
+            got = distinct_representatives(pools, now)
+            assert (got is None) == (_sdr_search(pools) is None)
+            assert got == representatives_unstopped(pools, before)
+            assert now[0] <= before[0]
+            saved += before[0] - now[0]
+        assert saved > 0  # some failures came before the last position
+
+
+def pair_pools(rng, n):
+    """Ascending edge lists for every pair of [0, n), from a random pool of
+    hyperedges given as vertex sets."""
+    edges = [set(rng.sample(range(n), 3)) for _ in range(rng.randint(n // 2, 2 * n))]
+    return {
+        (u, v): [t for t, e in enumerate(edges) if u in e and v in e]
+        for u in range(n)
+        for v in range(u + 1, n)
+    }
+
+
+class TestPrefixSDR:
+    def test_push_and_pop_track_batch_matching(self):
+        rng = random.Random(89)
+        for _ in range(150):
+            n = rng.randint(4, 8)
+            lists = pair_pools(rng, n)
+            work = [0]
+            sdr = PrefixSDR(lists, work)
+            held = []
+            pushes = refused = longest = 0
+            for _ in range(25):
+                if held and rng.random() < 0.4:
+                    sdr.pop()
+                    held.pop()
+                else:
+                    u, v = rng.sample(range(n), 2)
+                    pools = [lists[min(a, b), max(a, b)] for a, b in held + [(u, v)]]
+                    before = sdr.representatives()
+                    accepted = sdr.push(u, v)
+                    pushes += 1
+                    longest = max(longest, len(pools))
+                    assert accepted == (_sdr_search(pools) is not None)
+                    if accepted:
+                        held.append((u, v))
+                    else:
+                        refused += 1
+                        assert sdr.representatives() == before
+                pools = [lists[min(a, b), max(a, b)] for a, b in held]
+                assert sdr.cands == pools
+                assert sdr.representatives() == distinct_representatives(pools)
+            assert (work[0], sdr.refused, sdr.longest) == (pushes, refused, longest)

@@ -16,21 +16,22 @@ from bergeham.hypercore import iter_colex_edges
 
 
 # find_mono_berge at (10,3,12), random seeds 0-9: (seed, verdict, color,
-# core, edges, nodes, augmentations), recorded before the candidate tables
-# were read from the colex member table.  Seed 6's nodes fell from 31 to 29
-# when the search stopped running a separate Hamiltonicity check per color
-# before enumerating cores; every other field is as recorded.
+# core, edges, nodes, augmentations).  Verdict, color, core and edges were
+# recorded before the candidate tables were read from the colex member table
+# and have not changed since.  Nodes and augmentations were re-recorded when
+# the matching moved into the backtracker: Hall pruning removes nodes, and an
+# augmentation is now one augmenting-path attempt per search-tree edge.
 PINNED_10_3_12 = [
-    (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 10),
-    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 4320, 4550),
-    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 194, 70),
-    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 264, 190),
-    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 3235, 1990),
-    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 4597, 3350),
-    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 29, 10),
-    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 852, 1250),
-    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 2403, 930),
-    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 40, 20),
+    (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 11),
+    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 2134, 2599),
+    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 102, 89),
+    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 227, 190),
+    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 1355, 1583),
+    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 2422, 2763),
+    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 46, 28),
+    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 97, 92),
+    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 1237, 1433),
+    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 32, 33),
 ]
 
 
