@@ -430,14 +430,10 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
     e5 = [_edge_key(x, v) for v in range(n) if v not in blocked]
     gamma = gamma2.with_edges(e4 + e5)
 
-    labelled = [("bad-pair", u) for u in u_list] + [("all-good", w) for w in w_processed]
-    for kind, v in labelled:
-        if gamma.degree(v) <= 2 * r:
-            raise GammaBuildError(
-                f"{kind} vertex {v} ended with gamma degree "
-                f"{gamma.degree(v)} <= 2r",
-                failing_vertex=v,
-            )
+    # each repair gives its vertex t new, distinct neighbours (a contact is
+    # never the vertex, a neighbour, an earlier contact or a vertex that took
+    # it as contact) and later steps only add edges, so d + t >= 2r+1 holds
+    assert all(gamma.degree(v) > 2 * r for v in u_list + w_processed)
 
     info = {
         "Y": Y,

@@ -113,8 +113,6 @@ class PrefixSDR:
         self.pair_lists = pair_lists
         self.work_counter = work_counter
         self.cands: list[list[int]] = []
-        self.refused = 0  # pushes refused so far
-        self.longest = 0  # most pairs a push has tried to hold
         self._owner: dict[int, int] = {}
         self._journal: list[tuple[int, Optional[int]]] = []
         self._marks: list[int] = []
@@ -124,14 +122,11 @@ class PrefixSDR:
             self.work_counter[0] += 1
         cands = self.cands
         cands.append(self.pair_lists[(u, v) if u < v else (v, u)])
-        if len(cands) > self.longest:
-            self.longest = len(cands)
         mark = len(self._journal)
         if _augment(len(cands) - 1, cands, self._owner, set(), self._journal):
             self._marks.append(mark)
             return True
         cands.pop()
-        self.refused += 1
         return False
 
     def pop(self) -> None:

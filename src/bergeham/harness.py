@@ -1,10 +1,11 @@
 """End-user search pipeline, independent oracle, and exhaustive verification.
 
 `find_mono_berge` is the production search: per color class large enough to
-matter, it runs the Hamiltonian backtracker on the pair-support graph with a
-prefix matcher hooked in, so the path and its distinct hyperedges grow
-together and a prefix with none is cut (Hall's theorem); it falls back to the
-constructive pipeline when budgets bite.  `naive_oracle` is the deliberately
+matter, it runs the Hamiltonian backtracker once on the pair-support graph
+with a prefix matcher hooked in, so the path and its distinct hyperedges grow
+together and a prefix with none is cut (Hall's theorem), or walked on until a
+cycle closes, which decides Hamiltonicity; it falls back to the constructive
+pipeline when budgets bite.  `naive_oracle` is the deliberately
 independent ground truth (permutations plus brute-force SDR, no graph
 machinery), and `exhaustive_verify` sweeps an entire coloring space.
 
@@ -27,11 +28,8 @@ from .construct import constructive_find
 from .extend import build_candidates, extend_matching  # noqa: F401
 from .extend import PrefixSDR
 from .graphs import Graph
-from .hamilton import (
-    SearchBudgetExceeded,
-    find_hamiltonian_cycle,
-    iter_hamiltonian_cycles,
-)
+from .hamilton import find_hamiltonian_cycle  # noqa: F401  (tracer only, as above)
+from .hamilton import SearchBudgetExceeded, iter_hamiltonian_cycles
 from .hypercore import (
     BergeCycle,
     Coloring,
@@ -163,19 +161,38 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
 
 
 class _BudgetedSDR(PrefixSDR):
-    """Prefix matcher that ends the search once nodes plus augmentations pass
-    the budget.  The backtracker pushes before every node but the root, so
-    the whole allowance is checked at every node."""
+    """Prefix matcher for one color's search.  It ends the search once nodes
+    plus augmentations pass the budget, checked at every push, so at every
+    node but the root.  Until a cycle of the support graph closes, a pair
+    with no distinct hyperedge is held unmatched instead of refused, and its
+    subtree is walked on at no augmentation cost.  A closing pair that the
+    matcher refuses or that comes under a held pair sets `hamiltonian` and is
+    refused, so nothing is yielded while a pair is held; from then on
+    refusals cut."""
 
     def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int):
         super().__init__(pair_lists, aug)
         self.nodes = nodes
         self.budget = budget
+        self.held = 0  # the first pair held unmatched and every pair pushed below it
+        self.hamiltonian = False  # a cycle of the support graph has closed
 
     def push(self, u: int, v: int) -> bool:
         if self.nodes[0] + self.work_counter[0] > self.budget:
             raise SearchBudgetExceeded("work budget exhausted")
-        return super().push(u, v)
+        if not self.held and super().push(u, v):
+            return True
+        self.hamiltonian |= v == 0  # a closing pair: cycles close at vertex 0
+        if self.hamiltonian:
+            return False
+        self.held += 1
+        return True
+
+    def pop(self) -> None:
+        if self.held:
+            self.held -= 1
+        else:
+            super().pop()
 
 
 def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport:
@@ -188,18 +205,18 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
     first cycle it yields is the answer: the first core, in the backtracker's
     order, that has distinct edges, with the edges that augmenting-path
-    matching of its pairs in order gives.  A color that yields nothing is
-    "all cores exhausted" when its support graph is Hamiltonian (seen by the
-    search itself, or by a plain first-cycle search when the matcher cut some
-    branch) and "support graph not Hamiltonian" otherwise.  A budget hit parks
-    the color; parked colors get one constructive attempt, and the verdict is
-    undecided only if some color stays unresolved.
+    matching of its pairs in order gives.  Until a cycle of the support graph
+    closes, a prefix the matcher cuts is walked on unmatched, yielding
+    nothing, so a color that yields nothing is "all cores exhausted" when a
+    cycle closed and "support graph not Hamiltonian" otherwise.  A budget hit
+    parks the color; parked colors get one constructive attempt, and the
+    verdict is undecided only if some color stays unresolved.
 
     The budget is cumulative across colors, not a fresh allowance per color:
-    search nodes and augmenting-path attempts (one per search-tree edge)
-    spent on earlier colors count against later ones, and the total is
-    checked at every node.  Under a tight budget the verdict can therefore
-    depend on how the colors are numbered.
+    search nodes and augmenting-path attempts (one per search-tree edge not
+    under a held pair) spent on earlier colors count against later ones, and
+    the total is checked at every node.  Under a tight budget the verdict can
+    therefore depend on how the colors are numbered.
     """
     p = coloring.params
     n = p.n
@@ -225,18 +242,8 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
                     raise RuntimeError(f"search produced an invalid cycle: {bad}")
                 stages["colors"][color] = "found"
                 return SearchReport("found", color, cycle, stages, nodes[0], aug[0])
-            # nothing yielded: either the search completed a cycle and the
-            # matcher refused it, or a refused pair may have cut off the only
-            # cycles, and a plain search decides
-            hamiltonian = sdr.longest == n or (
-                sdr.refused > 0
-                and find_hamiltonian_cycle(
-                    support, max_nodes=budget - aug[0], use_closure=False, counter=nodes
-                )
-                is not None
-            )
             stages["colors"][color] = (
-                "all cores exhausted" if hamiltonian else "support graph not Hamiltonian"
+                "all cores exhausted" if sdr.hamiltonian else "support graph not Hamiltonian"
             )
         except SearchBudgetExceeded:
             stages["colors"][color] = "budget exhausted"
@@ -353,7 +360,7 @@ def exhaustive_verify(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_worker, [(params, lo, hi) for lo, hi in ranges]))
+            parts = list(pool.map(_sweep_range, [params] * shards, bounds[:-1], bounds[1:]))
     else:
         parts = [_sweep_range(params, lo, hi) for lo, hi in ranges]
     success = sum(pt[0] for pt in parts)
@@ -367,10 +374,6 @@ def exhaustive_verify(
     return ExhaustReport(
         params.n, params.r, params.k, total, success, failure, examples, ranges
     )
-
-
-def _sweep_worker(args):
-    return _sweep_range(*args)
 
 
 def gen_coloring(

@@ -250,7 +250,7 @@ class TestPrefixSDR:
             work = [0]
             sdr = PrefixSDR(lists, work)
             held = []
-            pushes = refused = longest = 0
+            pushes = 0
             for _ in range(25):
                 if held and rng.random() < 0.4:
                     sdr.pop()
@@ -261,14 +261,12 @@ class TestPrefixSDR:
                     before = sdr.representatives()
                     accepted = sdr.push(u, v)
                     pushes += 1
-                    longest = max(longest, len(pools))
                     assert accepted == (_sdr_search(pools) is not None)
                     if accepted:
                         held.append((u, v))
                     else:
-                        refused += 1
                         assert sdr.representatives() == before
                 pools = [lists[min(a, b), max(a, b)] for a, b in held]
                 assert sdr.cands == pools
                 assert sdr.representatives() == distinct_representatives(pools)
-            assert (work[0], sdr.refused, sdr.longest) == (pushes, refused, longest)
+            assert work[0] == pushes

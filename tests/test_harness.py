@@ -12,6 +12,7 @@ from bergeham import (
     paper_threshold,
     verify_berge_cycle,
 )
+from bergeham.fixtures import case1_fixture
 from bergeham.hypercore import iter_colex_edges
 
 
@@ -20,18 +21,19 @@ from bergeham.hypercore import iter_colex_edges
 # recorded before the candidate tables were read from the colex member table
 # and have not changed since.  Nodes and augmentations were re-recorded when
 # the matching moved into the backtracker: Hall pruning removes nodes, and an
-# augmentation is now one augmenting-path attempt per search-tree edge.
+# augmentation is now one augmenting-path attempt per search-tree edge.  Nodes
+# include the subtrees walked under a held pair until a cycle closes.
 PINNED_10_3_12 = [
     (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 11),
-    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 2134, 2599),
-    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 102, 89),
-    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 227, 190),
-    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 1355, 1583),
-    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 2422, 2763),
-    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 46, 28),
-    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 97, 92),
-    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 1237, 1433),
-    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 32, 33),
+    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 2125, 2599),
+    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 95, 89),
+    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 179, 190),
+    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 1344, 1583),
+    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 2407, 2763),
+    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 29, 28),
+    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 101, 92),
+    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 1257, 1433),
+    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 39, 33),
 ]
 
 
@@ -97,6 +99,22 @@ class TestFindMonoBerge:
         report = find_mono_berge(coloring)
         assert report.stages["colors"] == {1: "all cores exhausted", 2: "found"}
         assert report.verdict == "found" and report.color == 2
+
+    def test_parked_colors_go_to_the_constructive_pipeline(self):
+        coloring = case1_fixture()
+        report = find_mono_berge(coloring, budget=0)
+        assert set(report.stages["colors"].values()) == {"budget exhausted"}
+        assert report.stages["constructive"] == "found"
+        assert report.verdict == "found"
+        assert verify_berge_cycle(report.cycle, coloring) is None
+
+    def test_parked_colors_without_a_pipeline_stay_undecided(self):
+        # k = 12 is not r - 1, so no constructive attempt is possible
+        coloring = gen_coloring(HyperParams(10, 3, 12), "random", seed=1)
+        report = find_mono_berge(coloring, budget=5)
+        assert "budget exhausted" in report.stages["colors"].values()
+        assert report.verdict == "undecided"
+        assert report.stages["constructive"] == "unavailable"
 
     @pytest.mark.parametrize("pin", PINNED_10_3_12, ids=lambda pin: f"seed{pin[0]}")
     def test_pinned_reports(self, pin):

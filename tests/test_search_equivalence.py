@@ -12,9 +12,10 @@ import random
 import pytest
 
 from bergeham import Coloring, Graph, HyperParams, find_mono_berge, gen_coloring
+from bergeham import harness
 from bergeham.extend import PrefixSDR, build_candidates, extend_matching
 from bergeham.hamilton import iter_hamiltonian_cycles
-from bergeham.hypercore import pair_edges
+from bergeham.hypercore import iter_colex_edges, pair_edges
 
 from test_differential import SPACES
 
@@ -69,6 +70,65 @@ def test_same_outcome_as_per_core_search():
         assert got == per_core_search(coloring), coloring.to_text()
         verdicts.add(got[0])
     assert verdicts == {"found", "not-found"}
+
+
+def test_non_hamiltonian_colors_walk_the_plain_tree(monkeypatch):
+    # Until a cycle closes, a pair the matcher cannot serve is held, not
+    # refused.  On a support graph with no Hamiltonian cycle none ever
+    # closes, so the color's search walks exactly the plain search tree.
+    searched = []  # (support graph, nodes counted before its search)
+
+    def spy(g, max_nodes=None, counter=None, prefix_hook=None):
+        searched.append((g, counter[0]))
+        return iter_hamiltonian_cycles(g, max_nodes, counter, prefix_hook)
+
+    monkeypatch.setattr(harness, "iter_hamiltonian_cycles", spy)
+    rng = random.Random(7)
+    non_hamiltonian = 0
+    for n, r, k in SPACES:
+        p = HyperParams(n, r, k)
+        for _ in range(300):
+            coloring = Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)])
+            searched.clear()
+            report = find_mono_berge(coloring)
+            labels = [s for s in report.stages["colors"].values() if s != "class too small"]
+            ends = [start for _, start in searched[1:]] + [report.nodes]
+            assert len(labels) == len(searched)
+            for (g, start), end, label in zip(searched, ends, labels):
+                plain = [0]
+                if next(iter_hamiltonian_cycles(g, counter=plain), None) is not None:
+                    assert label != "support graph not Hamiltonian"
+                else:
+                    assert label == "support graph not Hamiltonian"
+                    assert end - start == plain[0]
+                    non_hamiltonian += 1
+    assert non_hamiltonian >= 100
+
+
+def test_cycles_found_only_under_a_held_pair():
+    # Color 1 reaches vertex 4 only through the edge {1,2,4}, so every
+    # Hamiltonian cycle runs 1-4-2 or 2-4-1, and its second pair at vertex 4
+    # has no edge of its own.  The matcher alone never reaches a closing
+    # pair; the cycles are seen only in the subtree of a held pair.
+    p = HyperParams(5, 3, 2)
+    ones = {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2, 4)}
+    coloring = Coloring(p, [1 if e in ones else 2 for e in iter_colex_edges(5, 3)])
+    lists = pair_edges(coloring, 1)
+    support = Graph(5, [pair for pair, pool in lists.items() if pool])
+    closing = []
+
+    class Closings(PrefixSDR):
+        def push(self, u, v):
+            if v == 0:
+                closing.append(u)
+            return super().push(u, v)
+
+    assert list(iter_hamiltonian_cycles(support))
+    assert not list(iter_hamiltonian_cycles(support, prefix_hook=Closings(lists)))
+    assert closing == []
+    report = find_mono_berge(coloring)
+    assert report.stages["colors"][1] == "all cores exhausted"
+    assert outcome(report) == per_core_search(coloring)
 
 
 def test_hooked_enumeration_yields_the_matchable_cores_in_order():
@@ -129,12 +189,13 @@ def test_tight_budget_never_changes_the_answer(budget):
 def test_color_without_cores_stops_at_the_budget():
     # (10,3,12) seed 6: color 4 is the first color searched.  Its support
     # graph is not Hamiltonian; the plain enumeration shows that in 19 nodes.
-    # The hooked search plus the plain first-cycle search that the matcher's
-    # cuts call for take 54 work units, and every one of them counts.
+    # The hooked search walks those same 19 nodes, holding the pairs the
+    # matcher cannot serve, and makes 16 augmenting-path attempts on the way:
+    # 35 work units, and every one of them counts.
     coloring = gen_coloring(HyperParams(10, 3, 12), "random", seed=6)
-    for budget in (19, 40, 53):
+    for budget in (19, 30, 34):
         report = find_mono_berge(coloring, budget=budget)
         assert report.stages["colors"][4] == "budget exhausted"
         assert report.verdict == "undecided"
-    report = find_mono_berge(coloring, budget=54)
+    report = find_mono_berge(coloring, budget=35)
     assert report.stages["colors"][4] == "support graph not Hamiltonian"
