@@ -59,9 +59,6 @@ class Witness:
     color_perm: tuple[int, ...]
     ubar_sizes: tuple[int, ...]
 
-    def renamed_color(self, orig: int) -> int:
-        return self.color_perm[orig - 1]
-
     def original_color(self, renamed: int) -> int:
         return self.color_perm.index(renamed) + 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, islice, permutations, product
 from math import comb
 from typing import Optional
 
@@ -215,8 +215,11 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     The budget is cumulative across colors, not a fresh allowance per color:
     search nodes and augmenting-path attempts (one per search-tree edge not
     under a held pair) spent on earlier colors count against later ones, and
-    the total is checked at every node.  Under a tight budget the verdict can
-    therefore depend on how the colors are numbered.
+    the total is checked at every node and before a color starts.  Once it is
+    spent no further color starts; each is parked.  After the last check come
+    at most one accepted push and the node it opens, so `work_units` is at
+    most budget + 2.  Under a tight budget the verdict can depend on how the
+    colors are numbered.
     """
     p = coloring.params
     n = p.n
@@ -229,13 +232,15 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
         if int(sizes[color - 1]) < n:
             stages["colors"][color] = "class too small"
             continue
+        if nodes[0] + aug[0] > budget:
+            stages["colors"][color] = "budget exhausted"
+            parked.append(color)
+            continue
         lists = pair_edges(coloring, color)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
         sdr = _BudgetedSDR(lists, aug, nodes, budget)
         try:
-            for cert in iter_hamiltonian_cycles(
-                support, max_nodes=budget, counter=nodes, prefix_hook=sdr
-            ):
+            for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
                 cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)
                 bad = verify_berge_cycle(cycle, coloring)
                 if bad is not None:
@@ -295,35 +300,18 @@ class ExhaustReport:
             fh.write("\n")
 
 
-def _digits_of(m: int, k: int, width: int) -> list[int]:
-    """Base-k digits of m, most significant first, as colors 1..k."""
-    out = [1] * width
-    for t in range(width - 1, -1, -1):
-        out[t] = m % k + 1
-        m //= k
-    return out
-
-
 def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
-    """Classify colorings with counter values in [lo, hi)."""
-    n, k = params.n, params.k
-    width = params.edge_count
+    """Classify the colorings at counter values [lo, hi) of the sweep order."""
+    colors = range(1, params.k + 1)
     success = 0
     failure = 0
     examples: list[str] = []
-    for m in range(lo, hi):
-        digits = _digits_of(m, k, width)
-        counts = [0] * (k + 1)
-        for d in digits:
-            counts[d] += 1
-        if max(counts[1:]) < n:
-            failure += 1  # no class can supply n distinct edges
-            if len(examples) < ExhaustReport.MAX_STORED:
-                examples.append(" ".join(map(str, digits)))
-            continue
-        coloring = Coloring(params, digits)
-        report = _decide_exact(coloring)
-        if report.verdict == "found":
+    for digits in islice(product(colors, repeat=params.edge_count), lo, hi):
+        # a class with fewer than n edges cannot supply n distinct edges
+        if (
+            max(map(digits.count, colors)) >= params.n
+            and _decide_exact(Coloring(params, digits)).verdict == "found"
+        ):
             success += 1
         else:
             failure += 1
@@ -340,11 +328,14 @@ def exhaustive_verify(
     """Sweep every k-coloring of K_n^r and count which contain a
     monochromatic Hamiltonian Berge-cycle.
 
-    Colorings are enumerated as base-k counters over the colex edge order
-    (edge 0 most significant, so counter order is lexicographic on the digit
-    strings).  Sharding splits the counter range; results are merged in range
-    order, so counts and retained counterexamples are independent of the shard
-    count.  Up to 100 lexicographically smallest failing colorings are kept.
+    Colorings are the color tuples of `itertools.product(range(1, k+1),
+    repeat=C(n,r))` over the colex edge order, so a coloring's counter value
+    is its position in that order: edge 0 is the most significant digit and
+    counter order is lexicographic on the digit strings.  `shards`, between 1
+    and the number of colorings, splits the counter range; results are merged
+    in range order, so counts and retained counterexamples are independent of
+    the shard and worker counts.  Up to 100 lexicographically smallest failing
+    colorings are kept.
     """
     total = params.k ** params.edge_count
     if total > MAX_SWEEP_COLORINGS:
@@ -352,27 +343,24 @@ def exhaustive_verify(
             f"{params.k}^{params.edge_count} = {total} colorings exceed the "
             f"{MAX_SWEEP_COLORINGS} cap; narrow the parameters"
         )
-    if shards < 1:
-        raise ValueError("need at least one shard")
+    if not 1 <= shards <= total:
+        raise ValueError(f"shards must be between 1 and {total}, the number of colorings")
+    if workers < 1:
+        raise ValueError("need at least one worker")
     bounds = [total * i // shards for i in range(shards + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(shards)]
-    if workers > 1:
+    args = ([params] * shards, bounds[:-1], bounds[1:])
+    if workers == 1:
+        parts = list(map(_sweep_range, *args))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_range, [params] * shards, bounds[:-1], bounds[1:]))
-    else:
-        parts = [_sweep_range(params, lo, hi) for lo, hi in ranges]
-    success = sum(pt[0] for pt in parts)
-    failure = sum(pt[1] for pt in parts)
-    examples: list[str] = []
-    for pt in parts:
-        for ex in pt[2]:
-            if len(examples) >= ExhaustReport.MAX_STORED:
-                break
-            examples.append(ex)
+        with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
+            parts = list(pool.map(_sweep_range, *args))
+    success, failure, examples = zip(*parts)
+    kept = list(islice(chain.from_iterable(examples), ExhaustReport.MAX_STORED))
     return ExhaustReport(
-        params.n, params.r, params.k, total, success, failure, examples, ranges
+        params.n, params.r, params.k, total, sum(success), sum(failure), kept,
+        list(zip(bounds, bounds[1:])),
     )
 
 

@@ -62,10 +62,8 @@ class ColorProfile:
         for c in range(r):
             cell = edges[:, c].astype(np.intp) * k + ci
             deg += np.bincount(cell, minlength=deg.size)
-        counts = counts.reshape(-1, k)
-        self.pair_counts = counts
         self._deg = deg.reshape(n, k)
-        self._good = counts >= self.good_threshold
+        self._good = counts.reshape(-1, k) >= self.good_threshold
 
     @property
     def params(self):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bergeham.cli import main
 from bergeham.fixtures import case1_fixture
 from bergeham.hypercore import Coloring
@@ -66,6 +68,13 @@ def test_exhaust_report(tmp_path, capsys):
 def test_exhaust_infeasible_exit_code(capsys):
     assert run("exhaust", "--n", "6", "--r", "3", "--k", "3") == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--shards", "1000000000"), ("--workers", "0")])
+def test_exhaust_bad_shards_or_workers_exit_code(capsys, flag, value):
+    assert run("exhaust", "--n", "4", "--r", "3", "--k", "1", flag, value) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("infeasible: ")
 
 
 def test_construct_with_bundle_dump(tmp_path, capsys):

@@ -41,6 +41,24 @@ def coloring_from_digits(params, line):
     return Coloring(params, [int(x) for x in line.split()])
 
 
+def decoded_sweep(params):
+    """Reference sweep: counter m decoded by repeated divmod, edge 0 most
+    significant, each coloring decided by the oracle.  Returns the success
+    count and every failing coloring in counter order."""
+    success, failures = 0, []
+    for m in range(params.k ** params.edge_count):
+        digits = []
+        for _ in range(params.edge_count):
+            m, d = divmod(m, params.k)
+            digits.append(d + 1)
+        digits.reverse()
+        if naive_oracle(Coloring(params, digits)).verdict == "found":
+            success += 1
+        else:
+            failures.append(" ".join(map(str, digits)))
+    return success, failures
+
+
 class TestPaperThreshold:
     def test_exact_values(self):
         assert paper_threshold(5) == 145350
@@ -104,6 +122,8 @@ class TestFindMonoBerge:
         coloring = case1_fixture()
         report = find_mono_berge(coloring, budget=0)
         assert set(report.stages["colors"].values()) == {"budget exhausted"}
+        # the first color's root node spends the budget; no later color starts
+        assert report.nodes == 1
         assert report.stages["constructive"] == "found"
         assert report.verdict == "found"
         assert verify_berge_cycle(report.cycle, coloring) is None
@@ -113,6 +133,7 @@ class TestFindMonoBerge:
         coloring = gen_coloring(HyperParams(10, 3, 12), "random", seed=1)
         report = find_mono_berge(coloring, budget=5)
         assert "budget exhausted" in report.stages["colors"].values()
+        assert (report.nodes, report.augmentations) == (4, 3)
         assert report.verdict == "undecided"
         assert report.stages["constructive"] == "unavailable"
 
@@ -213,6 +234,23 @@ class TestExhaustiveVerify:
         failing = "1 1 1 1 2"
         assert naive_oracle(coloring_from_digits(p2, failing)).verdict == "not-found"
         assert naive_oracle(coloring_from_digits(p3, failing)).verdict == "not-found"
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (5, 4, 2), (5, 4, 3)])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_counter_order_matches_a_divmod_decoder(self, shape, shards):
+        p = HyperParams(*shape)
+        success, failures = decoded_sweep(p)
+        rep = exhaustive_verify(p, shards=shards)
+        assert (rep.success, rep.failure) == (success, len(failures))
+        assert rep.counterexamples == failures[: rep.MAX_STORED]
+
+    @pytest.mark.parametrize(
+        "shards, workers", [(0, 1), (2, 1), (10**12, 1), (1, 0), (1, -3)]
+    )
+    def test_bad_shards_and_workers_rejected(self, shards, workers):
+        # (4,3,1) has exactly one coloring, so one shard is the only choice
+        with pytest.raises(ValueError):
+            exhaustive_verify(HyperParams(4, 3, 1), shards=shards, workers=workers)
 
     def test_workers_match_serial(self):
         p = HyperParams(5, 4, 3)
