@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol
 
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 
 class SearchBudgetExceeded(Exception):
@@ -203,14 +203,21 @@ def _cycle_orders(
         if not masks[0] & un:
             return
         reach = un | (1 << v) | 1
-        for w in _bits(un):
-            if (masks[w] & reach).bit_count() < 2:
+        m = un
+        while m:
+            low = m & -m
+            if (masks[low.bit_length() - 1] & reach).bit_count() < 2:
                 return
-        for w in _bits(masks[v] & un):
+            m ^= low
+        m = masks[v] & un
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
             if hook is not None and not hook.push(v, w):
                 continue
             path.append(w)
-            yield from step(w, used | (1 << w))
+            yield from step(w, used | low)
             path.pop()
             if hook is not None:
                 hook.pop()

@@ -4,8 +4,10 @@
 matter, it runs the Hamiltonian backtracker once on the pair-support graph
 with a prefix matcher hooked in, so the path and its distinct hyperedges grow
 together and a prefix with none is cut (Hall's theorem), or walked on until a
-cycle closes, which decides Hamiltonicity; it falls back to the constructive
-pipeline when budgets bite.  `naive_oracle` is the deliberately
+cycle closes, which decides Hamiltonicity.  From the color's first backtrack
+on, a look-ahead also refuses a path whose unvisited vertices cannot each get
+two distinct class edges; its refusals, too, are walked on until a cycle
+closes.  It falls back to the constructive pipeline when budgets bite.  `naive_oracle` is the deliberately
 independent ground truth (permutations plus brute-force SDR, no graph
 machinery), and `exhaustive_verify` sweeps an entire coloring space.
 
@@ -16,6 +18,7 @@ influences a verdict.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import chain, islice, permutations, product
 from math import comb
@@ -163,36 +166,93 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
 class _BudgetedSDR(PrefixSDR):
     """Prefix matcher for one color's search.  It ends the search once nodes
     plus augmentations pass the budget, checked at every push, so at every
-    node but the root.  Until a cycle of the support graph closes, a pair
-    with no distinct hyperedge is held unmatched instead of refused, and its
-    subtree is walked on at no augmentation cost.  A closing pair that the
-    matcher refuses or that comes under a held pair sets `hamiltonian` and is
-    refused, so nothing is yielded while a pair is held; from then on
-    refusals cut."""
+    node but the root.
 
-    def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int):
+    From the color's first backtrack on, a tree pair (v, w) that the matcher
+    accepts must also pass a look-ahead (Hall's condition on what is left).
+    Let R be the unvisited vertices together with w and 0, and E_R the class
+    edges with at least two vertices in R.  Every pair still to come lies
+    inside R and needs an edge of E_R of its own, so the pair is refused when
+    |E_R| < n - (pairs held), or when some unvisited vertex lies in fewer
+    than two edges of E_R.  The closing pair is not checked.  A search that
+    never backtracks never pays for the look-ahead.
+
+    Until a cycle of the support graph closes, a pair that the matcher or the
+    look-ahead refuses is held unmatched instead, and its subtree is walked
+    on at no augmentation cost.  A closing pair that the matcher refuses or
+    that comes under a held pair sets `hamiltonian` and is refused, so
+    nothing is yielded while a pair is held; from then on refusals cut."""
+
+    def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int,
+                 coloring: Coloring, color: int):
         super().__init__(pair_lists, aug)
         self.nodes = nodes
         self.budget = budget
+        self.coloring = coloring
+        self.color = color
         self.held = 0  # the first pair held unmatched and every pair pushed below it
         self.hamiltonian = False  # a cycle of the support graph has closed
+        self.path: list[int] = []  # the vertex each accepted push moved to
+        self.rest = (1 << coloring.params.n) - 1  # vertex 0 and the unvisited ones
+        self.vm: Optional[list[int]] = None  # per-vertex class-edge bitmasks
 
     def push(self, u: int, v: int) -> bool:
         if self.nodes[0] + self.work_counter[0] > self.budget:
             raise SearchBudgetExceeded("work budget exhausted")
-        if not self.held and super().push(u, v):
-            return True
-        self.hamiltonian |= v == 0  # a closing pair: cycles close at vertex 0
-        if self.hamiltonian:
-            return False
-        self.held += 1
+        matched = not self.held and super().push(u, v)
+        if matched and v and self.vm is not None and not self._lookahead(v):
+            super().pop()
+            matched = False
+        if not matched:
+            self.hamiltonian |= v == 0  # a closing pair: cycles close at vertex 0
+            if self.hamiltonian:
+                return False
+            self.held += 1
+        self.path.append(v)
+        self.rest ^= 1 << v
         return True
 
     def pop(self) -> None:
+        if self.vm is None:
+            self.vm = self._vertex_masks()
+        self.rest ^= 1 << self.path.pop()
         if self.held:
             self.held -= 1
         else:
             super().pop()
+
+    def _vertex_masks(self) -> list[int]:
+        """vm[x]: bit j set when x lies in the j-th edge of the color class."""
+        vm = [0] * self.coloring.params.n
+        bit = 1
+        for row in self.coloring.class_members(self.color)[1].tolist():
+            for x in row:
+                vm[x] |= bit
+            bit <<= 1
+        return vm
+
+    def _lookahead(self, w: int) -> bool:
+        """False when the pairs still to come after the pair to w cannot all
+        get distinct class edges (see the class docstring)."""
+        vm = self.vm
+        seen = two = 0  # edges with a vertex in R so far, and with two
+        m = self.rest  # R: w is still in it
+        while m:
+            low = m & -m
+            x = vm[low.bit_length() - 1]
+            two |= seen & x
+            seen |= x
+            m ^= low
+        if two.bit_count() < len(vm) - len(self.cands):
+            return False
+        m = self.rest ^ (1 << w) ^ 1  # the unvisited vertices
+        while m:
+            low = m & -m
+            x = vm[low.bit_length() - 1] & two
+            if not x & (x - 1):  # fewer than two edges of E_R
+                return False
+            m ^= low
+        return True
 
 
 def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport:
@@ -205,10 +265,16 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
     first cycle it yields is the answer: the first core, in the backtracker's
     order, that has distinct edges, with the edges that augmenting-path
-    matching of its pairs in order gives.  Until a cycle of the support graph
-    closes, a prefix the matcher cuts is walked on unmatched, yielding
-    nothing, so a color that yields nothing is "all cores exhausted" when a
-    cycle closed and "support graph not Hamiltonian" otherwise.  A budget hit
+    matching of its pairs in order gives.  From the color's first backtrack
+    on, a look-ahead (see `_BudgetedSDR`) also cuts a path when the class
+    edges with two vertices among the unvisited vertices, the path's end and
+    vertex 0 are fewer than the pairs still to come, or when an unvisited
+    vertex lies in fewer than two of them; both are necessary for distinct
+    edges, so the look-ahead changes the work and nothing else.  Until a
+    cycle of the support graph closes, a prefix that the matcher or the
+    look-ahead cuts is walked on unmatched, yielding nothing, so a color that
+    yields nothing is "all cores exhausted" when a cycle closed and "support
+    graph not Hamiltonian" otherwise.  A budget hit
     parks the color; parked colors get one constructive attempt, and the
     verdict is undecided only if some color stays unresolved.
 
@@ -238,7 +304,7 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             continue
         lists = pair_edges(coloring, color)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
-        sdr = _BudgetedSDR(lists, aug, nodes, budget)
+        sdr = _BudgetedSDR(lists, aug, nodes, budget, coloring, color)
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
                 cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)
@@ -354,7 +420,8 @@ def exhaustive_verify(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
+        size = min(workers, shards, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_sweep_range, *args))
     success, failure, examples = zip(*parts)
     kept = list(islice(chain.from_iterable(examples), ExhaustReport.MAX_STORED))

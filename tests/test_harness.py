@@ -22,18 +22,20 @@ from bergeham.hypercore import iter_colex_edges
 # and have not changed since.  Nodes and augmentations were re-recorded when
 # the matching moved into the backtracker: Hall pruning removes nodes, and an
 # augmentation is now one augmenting-path attempt per search-tree edge.  Nodes
-# include the subtrees walked under a held pair until a cycle closes.
+# include the subtrees walked under a held pair until a cycle closes.  They
+# were re-recorded again when the look-ahead began to refuse the pairs whose
+# unvisited vertices cannot each get two distinct class edges.
 PINNED_10_3_12 = [
     (0, "found", 1, (0, 2, 1, 4, 3, 6, 5, 8, 9, 7), (5, 6, 27, 7, 23, 34, 76, 119, 106, 36), 11, 11),
-    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 2125, 2599),
-    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 95, 89),
-    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 179, 190),
-    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 1344, 1583),
-    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 2407, 2763),
-    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 29, 28),
-    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 101, 92),
-    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 1257, 1433),
-    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 39, 33),
+    (1, "found", 4, (0, 4, 2, 3, 5, 6, 7, 1, 8, 9), (62, 43, 9, 14, 55, 52, 39, 58, 118, 87), 1145, 1814),
+    (2, "found", 6, (0, 3, 2, 1, 4, 5, 6, 9, 7, 8), (87, 25, 58, 6, 70, 76, 103, 108, 79, 62), 43, 25),
+    (3, "found", 3, (0, 1, 2, 4, 6, 7, 8, 9, 5, 3), (4, 3, 28, 54, 52, 79, 119, 104, 69, 2), 95, 57),
+    (4, "found", 5, (0, 1, 4, 7, 8, 2, 3, 9, 6, 5), (20, 42, 54, 78, 57, 89, 115, 99, 31, 11), 51, 39),
+    (5, "found", 4, (0, 3, 1, 2, 7, 8, 6, 4, 9, 5), (7, 24, 58, 43, 78, 71, 26, 92, 98, 10), 382, 591),
+    (6, "found", 6, (0, 1, 2, 4, 3, 5, 7, 6, 9, 8), (0, 12, 18, 8, 69, 47, 54, 99, 114, 59), 29, 20),
+    (7, "found", 7, (0, 1, 5, 2, 9, 3, 4, 8, 7, 6), (4, 31, 32, 85, 97, 29, 116, 80, 51, 30), 39, 23),
+    (8, "found", 5, (0, 2, 1, 3, 9, 8, 4, 6, 5, 7), (11, 58, 14, 89, 118, 62, 26, 55, 45, 38), 72, 51),
+    (9, "found", 1, (0, 1, 3, 6, 2, 8, 7, 9, 5, 4), (56, 88, 23, 25, 114, 80, 108, 96, 17, 16), 31, 33),
 ]
 
 
@@ -251,6 +253,39 @@ class TestExhaustiveVerify:
         # (4,3,1) has exactly one coloring, so one shard is the only choice
         with pytest.raises(ValueError):
             exhaustive_verify(HyperParams(4, 3, 1), shards=shards, workers=workers)
+
+    def test_pool_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is started
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        p = HyperParams(6, 5, 2)
+        serial = exhaustive_verify(p, shards=64)
+        pooled = exhaustive_verify(p, shards=64, workers=64)
+        assert sizes == [min(64, os.cpu_count() or 1)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert exhaustive_verify(p, shards=64, workers=64).to_json() == serial.to_json()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert exhaustive_verify(p, shards=64, workers=64).to_json() == serial.to_json()
+        assert sizes[1:] == [3, 1]
+        assert pooled.to_json() == serial.to_json()
 
     def test_workers_match_serial(self):
         p = HyperParams(5, 4, 3)

@@ -3,11 +3,13 @@ per-core search it replaced.
 
 The reference below enumerates every Hamiltonian cycle of a color's support
 graph and matches each core from scratch.  Cutting the path prefixes whose
-pairs have no distinct hyperedges must not change which core is found first,
-the edges it gets, or any per-color stage label.
+pairs have no distinct hyperedges, or whose unvisited vertices cannot each
+get two distinct class edges (the look-ahead), must not change which core is
+found first, the edges it gets, or any per-color stage label.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -157,6 +159,94 @@ def test_hooked_enumeration_yields_the_matchable_cores_in_order():
     assert seen > 0
 
 
+class LookaheadSpy(harness._BudgetedSDR):
+    """The production hook with an unreachable budget; it records every path
+    prefix, ending at the new vertex, that the look-ahead refuses."""
+
+    def __init__(self, coloring, color, lists, nodes):
+        super().__init__(lists, [0], nodes, 10**12, coloring, color)
+        self.refused = []
+
+    def _lookahead(self, w):
+        ok = super()._lookahead(w)
+        if not ok:
+            self.refused.append((0, *self.path, w))
+        return ok
+
+
+def searched_colors(coloring):
+    """(color, pair lists, support graph) for every color large enough to search."""
+    p = coloring.params
+    sizes = coloring.class_sizes()
+    for color in range(1, p.k + 1):
+        if int(sizes[color - 1]) >= p.n:
+            lists = pair_edges(coloring, color)
+            yield color, lists, Graph(p.n, [pair for pair, pool in lists.items() if pool])
+
+
+def test_lookahead_yields_every_cycle_the_matcher_yields():
+    # Over the whole enumeration, not only up to the first cycle: the
+    # look-ahead refuses only prefixes with no matchable completion, so the
+    # cycles and their edges are those of the plain prefix matcher.
+    rng = random.Random(2026)
+    colorings = [gen_coloring(HyperParams(10, 3, 12), "random", seed=s) for s in range(5, 10)]
+    for n, r, k in SPACES:
+        p = HyperParams(n, r, k)
+        for _ in range(6):
+            colorings.append(Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)]))
+    cycles = refused = 0
+    for coloring in colorings:
+        for color, lists, support in searched_colors(coloring):
+            plain = PrefixSDR(lists)
+            want = [
+                (cert.order, tuple(plain.representatives()))
+                for cert in iter_hamiltonian_cycles(support, prefix_hook=plain)
+            ]
+            nodes = [0]
+            spy = LookaheadSpy(coloring, color, lists, nodes)
+            got = [
+                (cert.order, tuple(spy.representatives()))
+                for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy)
+            ]
+            assert got == want, (coloring.to_text(), color)
+            assert spy.cands == [] and spy.path == [] and spy.held == 0
+            cycles += len(got)
+            refused += len(spy.refused)
+    assert cycles > 10_000 and refused > 20_000
+
+
+def has_matchable_completion(prefix, lists, n):
+    """Brute force: some Hamiltonian cycle that starts with the prefix has
+    distinct class edges on its n pairs."""
+    rest = [v for v in range(n) if v not in prefix]
+    for tail in permutations(rest):
+        order = prefix + tail
+        pools = [lists[tuple(sorted((order[i], order[(i + 1) % n])))] for i in range(n)]
+        if all(pools) and harness._sdr_search(pools) is not None:
+            return True
+    return False
+
+
+def test_lookahead_refuses_only_prefixes_without_a_matchable_completion():
+    rng = random.Random(4)
+    refused = 0
+    for n, r, k in [shape for shape in SPACES if shape[0] <= 7]:
+        p = HyperParams(n, r, k)
+        for _ in range(20):
+            coloring = Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)])
+            for color, lists, support in searched_colors(coloring):
+                nodes = [0]
+                spy = LookaheadSpy(coloring, color, lists, nodes)
+                for _ in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy):
+                    pass
+                for prefix in spy.refused:
+                    assert not has_matchable_completion(prefix, lists, n), (
+                        coloring.to_text(), color, prefix,
+                    )
+                refused += len(spy.refused)
+    assert refused > 1_000
+
+
 def test_accepting_hook_changes_nothing():
     # a hook that accepts everything changes neither the cycles nor the nodes
     class Accept:
@@ -192,13 +282,14 @@ def test_tight_budget_never_changes_the_answer(budget):
 def test_color_without_cores_stops_at_the_budget():
     # (10,3,12) seed 6: color 4 is the first color searched.  Its support
     # graph is not Hamiltonian; the plain enumeration shows that in 19 nodes.
-    # The hooked search walks those same 19 nodes, holding the pairs the
-    # matcher cannot serve, and makes 16 augmenting-path attempts on the way:
-    # 35 work units, and every one of them counts.
+    # The hooked search walks those same 19 nodes, holding the pairs that the
+    # matcher or the look-ahead refuses.  Held pairs cost no augmentations, so
+    # it makes 9 augmenting-path attempts on the way: 28 work units, and
+    # every one of them counts.
     coloring = gen_coloring(HyperParams(10, 3, 12), "random", seed=6)
-    for budget in (19, 30, 34):
+    for budget in (19, 24, 27):
         report = find_mono_berge(coloring, budget=budget)
         assert report.stages["colors"][4] == "budget exhausted"
         assert report.verdict == "undecided"
-    report = find_mono_berge(coloring, budget=35)
+    report = find_mono_berge(coloring, budget=28)
     assert report.stages["colors"][4] == "support graph not Hamiltonian"
