@@ -42,12 +42,16 @@ class CycleCertificate:
     order: tuple[int, ...]
 
     def validate(self, g: Graph) -> None:
+        """Raise ValueError unless the order is a permutation of g's vertices
+        whose consecutive pairs, wraparound last, are all edges of g; the
+        first missing edge is named."""
+        order = self.order
         n = g.n
-        if len(self.order) != n or set(self.order) != set(range(n)):
+        if len(order) != n or set(order) != set(range(n)):
             raise ValueError("certificate order is not a permutation of the vertices")
-        for i in range(n):
-            u, v = self.order[i], self.order[(i + 1) % n]
-            if not g.has_edge(u, v):
+        masks = g._adj
+        for u, v in zip(order, order[1:] + order[:1]):
+            if not masks[u] >> v & 1:
                 raise ValueError(f"certificate uses missing edge ({u},{v})")
 
     def uses_edge(self, u: int, v: int) -> bool:

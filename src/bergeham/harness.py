@@ -7,8 +7,9 @@ together and a prefix with none is cut (Hall's theorem), or walked on until a
 cycle closes, which decides Hamiltonicity.  From the color's first backtrack
 on, a look-ahead also refuses a path whose unvisited vertices cannot each get
 two distinct class edges; its refusals, too, are walked on until a cycle
-closes.  It falls back to the constructive pipeline when budgets bite.  `naive_oracle` is the deliberately
-independent ground truth (permutations plus brute-force SDR, no graph
+closes.  It falls back to the constructive pipeline when budgets bite.
+`naive_oracle` is the deliberately independent ground truth (permutations
+plus brute-force SDR over pools read from its own cached pair table, no graph
 machinery), and `exhaustive_verify` sweeps an entire coloring space.
 
 Budgets are node expansions plus matching augmentations; wall clock never
@@ -20,7 +21,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice, permutations, product
+from functools import lru_cache
+from itertools import chain, combinations, islice, permutations, product
 from math import comb
 from typing import Optional
 
@@ -37,8 +39,8 @@ from .hypercore import (
     BergeCycle,
     Coloring,
     HyperParams,
+    _class_pair_lists,
     iter_colex_edges,
-    pair_edges,
     verify_berge_cycle,
 )
 
@@ -92,8 +94,9 @@ def paper_threshold(r: int) -> int:
 
 def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
     """Brute-force system of distinct representatives, fewest options first."""
-    order = sorted(range(len(pools)), key=lambda i: len(pools[i]))
-    choice: dict[int, int] = {}
+    sizes = [len(pool) for pool in pools]
+    order = sorted(range(len(pools)), key=sizes.__getitem__)
+    choice = [0] * len(pools)
     used: set[int] = set()
 
     def place(j: int) -> bool:
@@ -107,48 +110,62 @@ def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
                 if place(j + 1):
                     return True
                 used.remove(e)
-                del choice[i]
         return False
 
-    if not place(0):
-        return None
-    return [choice[i] for i in range(len(pools))]
+    return choice if place(0) else None
+
+
+@lru_cache(maxsize=8)
+def _pair_table(n: int, r: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each pair u < v of [0, n) -> the ascending colex indices of every
+    r-subset that holds it, read off `iter_colex_edges`.  Only the exact
+    decider builds it (`naive_oracle` and the sweeps); the search and the
+    constructive pipeline never do."""
+    table: dict[tuple[int, int], list[int]] = {
+        pair: [] for pair in combinations(range(n), 2)
+    }
+    for t, edge in enumerate(iter_colex_edges(n, r)):
+        for pair in combinations(edge, 2):
+            table[pair].append(t)
+    return {pair: tuple(edges) for pair, edges in table.items()}
 
 
 def _decide_exact(coloring: Coloring) -> SearchReport:
-    """Exhaustive decision: all colors, all cores up to rotation/reflection."""
+    """Exhaustive decision: all colors, all cores up to rotation/reflection.
+
+    A pair's pool, its ascending edges of the color, is filled from the
+    cached pair table the first time a core needs it."""
     p = coloring.params
     n = p.n
-    sizes = coloring.class_sizes()
+    colors = coloring.colors.tolist()
+    table = _pair_table(n, p.r)
     stages: dict = {"skipped_colors": []}
     for color in range(1, p.k + 1):
-        if int(sizes[color - 1]) < n:
+        if colors.count(color) < n:
             stages["skipped_colors"].append(color)
             continue
-        lists = pair_edges(coloring, color)
-        rest = list(range(1, n))
-        for perm in permutations(rest):
+        filled: dict[tuple[int, int], list[int]] = {}
+        for perm in permutations(range(1, n)):
             if n > 2 and perm[0] > perm[-1]:
                 continue  # reflection representative
             core = (0,) + perm
             pools = []
-            ok = True
-            for i in range(n):
-                a, b = core[i], core[(i + 1) % n]
-                pool = lists[(a, b) if a < b else (b, a)]
+            for a, b in zip(core, perm + (0,)):
+                pair = (a, b) if a < b else (b, a)
+                pool = filled.get(pair)
+                if pool is None:
+                    pool = filled[pair] = [e for e in table[pair] if colors[e] == color]
                 if not pool:
-                    ok = False
                     break
                 pools.append(pool)
-            if not ok:
-                continue
-            sdr = _sdr_search(pools)
-            if sdr is not None:
-                cycle = BergeCycle(core, tuple(sdr), color)
-                bad = verify_berge_cycle(cycle, coloring)
-                if bad is not None:
-                    raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
-                return SearchReport("found", color=color, cycle=cycle, stages=stages)
+            else:
+                sdr = _sdr_search(pools)
+                if sdr is not None:
+                    cycle = BergeCycle(core, tuple(sdr), color)
+                    bad = verify_berge_cycle(cycle, coloring)
+                    if bad is not None:
+                        raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
+                    return SearchReport("found", color=color, cycle=cycle, stages=stages)
     return SearchReport("not-found", stages=stages)
 
 
@@ -184,16 +201,16 @@ class _BudgetedSDR(PrefixSDR):
     nothing is yielded while a pair is held; from then on refusals cut."""
 
     def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int,
-                 coloring: Coloring, color: int):
+                 n: int, rows: list[list[int]]):
         super().__init__(pair_lists, aug)
         self.nodes = nodes
         self.budget = budget
-        self.coloring = coloring
-        self.color = color
+        self.n = n
+        self.rows = rows  # the member rows of the color class, in edge order
         self.held = 0  # the first pair held unmatched and every pair pushed below it
         self.hamiltonian = False  # a cycle of the support graph has closed
         self.path: list[int] = []  # the vertex each accepted push moved to
-        self.rest = (1 << coloring.params.n) - 1  # vertex 0 and the unvisited ones
+        self.rest = (1 << n) - 1  # vertex 0 and the unvisited ones
         self.vm: Optional[list[int]] = None  # per-vertex class-edge bitmasks
 
     def push(self, u: int, v: int) -> bool:
@@ -223,9 +240,9 @@ class _BudgetedSDR(PrefixSDR):
 
     def _vertex_masks(self) -> list[int]:
         """vm[x]: bit j set when x lies in the j-th edge of the color class."""
-        vm = [0] * self.coloring.params.n
+        vm = [0] * self.n
         bit = 1
-        for row in self.coloring.class_members(self.color)[1].tolist():
+        for row in self.rows:
             for x in row:
                 vm[x] |= bit
             bit <<= 1
@@ -302,9 +319,11 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             stages["colors"][color] = "budget exhausted"
             parked.append(color)
             continue
-        lists = pair_edges(coloring, color)
+        edges, rows = coloring.class_members(color)
+        rows = rows.tolist()
+        lists = _class_pair_lists(n, edges.tolist(), rows)
         support = Graph(n, [pair for pair, pool in lists.items() if pool])
-        sdr = _BudgetedSDR(lists, aug, nodes, budget, coloring, color)
+        sdr = _BudgetedSDR(lists, aug, nodes, budget, n, rows)
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
                 cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)

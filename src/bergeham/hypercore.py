@@ -210,11 +210,19 @@ class Coloring:
 def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""
-    lists: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in combinations(range(coloring.params.n), 2)
-    }
     edges, rows = coloring.class_members(color)
-    for t, row in zip(edges.tolist(), rows.tolist()):
+    return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())
+
+
+def _class_pair_lists(
+    n: int, edges: list[int], rows: list[list[int]]
+) -> dict[tuple[int, int], list[int]]:
+    """`pair_edges` from a color class already gathered: its ascending edge
+    indices and their member rows."""
+    lists: dict[tuple[int, int], list[int]] = {
+        pair: [] for pair in combinations(range(n), 2)
+    }
+    for t, row in zip(edges, rows):
         for pair in combinations(row, 2):
             lists[pair].append(t)
     return lists
@@ -264,17 +272,20 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
         if not 0 <= v < n or v in seen_v:
             return Violation("core not a permutation", pos)
         seen_v.add(v)
-    if cycle.color is not None:
-        if not 1 <= cycle.color <= params.k:
+    colors = coloring.colors
+    color = cycle.color
+    if color is not None:
+        if not 1 <= color <= params.k:
             return Violation("color id out of range")
-        if int(np.count_nonzero(coloring.colors == cycle.color)) < n:
+        if int(np.count_nonzero(colors == color)) < n:
             return Violation("color class smaller than n")
     members = edge_members(n, params.r)
+    edge_count = params.edge_count
     seen_e = set()
     for i in range(n):
         pos = i + 1
         e = cycle.edges[i]
-        if not 0 <= e < params.edge_count:
+        if not 0 <= e < edge_count:
             return Violation("edge index out of range", pos)
         if e in seen_e:
             return Violation("duplicate edge", pos)
@@ -283,6 +294,6 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
         a, b = cycle.core[i], cycle.core[(i + 1) % n]
         if a not in row or b not in row:
             return Violation("containment", pos)
-        if cycle.color is not None and coloring.colors[e] != cycle.color:
+        if color is not None and colors[e] != color:
             return Violation("edge color", pos)
     return None

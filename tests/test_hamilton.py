@@ -113,6 +113,22 @@ class TestClosure:
                 assert c.has_edge(u, v)
 
 
+class TestCertificate:
+    def test_validate_names_the_first_missing_edge(self):
+        cert = CycleCertificate((0, 1, 2, 3, 4))
+        cert.validate(cycle_graph(5))
+        path = cycle_graph(5).without_edges([(4, 0)])
+        with pytest.raises(ValueError, match=r"missing edge \(4,0\)"):
+            cert.validate(path)  # the wraparound pair is checked last
+        with pytest.raises(ValueError, match=r"missing edge \(1,2\)"):
+            cert.validate(path.without_edges([(1, 2)]))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_validate_rejects_a_non_permutation(self, order):
+        with pytest.raises(ValueError, match="not a permutation"):
+            CycleCertificate(order).validate(cycle_graph(5))
+
+
 class TestTransfer:
     def test_k4_minus_edge_example(self):
         g = Graph.complete(4).without_edges([(0, 2)])

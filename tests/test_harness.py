@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,8 +13,11 @@ from bergeham import (
     paper_threshold,
     verify_berge_cycle,
 )
+from bergeham import harness
 from bergeham.fixtures import case1_fixture
-from bergeham.hypercore import iter_colex_edges
+from bergeham.harness import SearchReport
+from bergeham.hypercore import BergeCycle, iter_colex_edges, pair_edges, pair_supersets
+from test_differential import DRAWN_SPACES, SPACES
 
 
 # find_mono_berge at (10,3,12), random seeds 0-9: (seed, verdict, color,
@@ -41,6 +45,54 @@ PINNED_10_3_12 = [
 
 def coloring_from_digits(params, line):
     return Coloring(params, [int(x) for x in line.split()])
+
+
+def dict_sdr(pools):
+    """Distinct representatives as the exact decider chose them before it read
+    a cached pair table: depth first, fewest options first."""
+    order = sorted(range(len(pools)), key=lambda i: len(pools[i]))
+    choice, used = {}, set()
+
+    def place(j):
+        if j == len(order):
+            return True
+        for e in pools[order[j]]:
+            if e not in used:
+                used.add(e)
+                choice[order[j]] = e
+                if place(j + 1):
+                    return True
+                used.remove(e)
+                del choice[order[j]]
+        return False
+
+    return [choice[i] for i in range(len(pools))] if place(0) else None
+
+
+def pair_edges_decide(coloring):
+    """The exact decider as it was before it read a cached pair table: the
+    pools of each color come from `pair_edges`, built whole per color."""
+    p = coloring.params
+    n = p.n
+    sizes = coloring.class_sizes()
+    stages = {"skipped_colors": []}
+    for color in range(1, p.k + 1):
+        if int(sizes[color - 1]) < n:
+            stages["skipped_colors"].append(color)
+            continue
+        lists = pair_edges(coloring, color)
+        for perm in permutations(range(1, n)):
+            if n > 2 and perm[0] > perm[-1]:
+                continue
+            core = (0,) + perm
+            pools = [lists[tuple(sorted((core[i], core[(i + 1) % n])))] for i in range(n)]
+            if not all(pools):
+                continue
+            sdr = dict_sdr(pools)
+            if sdr is not None:
+                cycle = BergeCycle(core, tuple(sdr), color)
+                return SearchReport("found", color=color, cycle=cycle, stages=stages)
+    return SearchReport("not-found", stages=stages)
 
 
 def decoded_sweep(params):
@@ -180,6 +232,28 @@ class TestNaiveOracle:
         with pytest.raises(ValueError):
             naive_oracle(gen_coloring(p, "uniform"))
 
+    def test_same_reports_as_the_pair_edges_decider(self):
+        # the shapes with more colors draw most of the not-found colorings
+        rng = random.Random(909)
+        not_found = 0
+        for n, r, k in SPACES + DRAWN_SPACES:
+            p = HyperParams(n, r, k)
+            for _ in range(20):
+                c = Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)])
+                got = naive_oracle(c)
+                assert got.to_json() == pair_edges_decide(c).to_json(), c.to_text()
+                not_found += got.verdict == "not-found"
+        assert not_found >= 20
+
+    @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 3), (8, 4)])
+    def test_pair_table_lists_every_edge_on_each_pair(self, n, r):
+        p = HyperParams(n, r)
+        table = harness._pair_table(n, r)
+        assert sorted(table) == list(combinations(range(n), 2))
+        for (u, v), edges in table.items():
+            assert list(edges) == pair_supersets(u, v, p)
+        assert harness._pair_table(n, r) is table
+
     def test_agreement_with_search(self):
         rng = random.Random(79)
         p = HyperParams(7, 3, 2)
@@ -204,6 +278,15 @@ class TestExhaustiveVerify:
     def test_5_4_3_counts(self):
         rep = exhaustive_verify(HyperParams(5, 4, 3))
         assert (rep.total, rep.success, rep.failure) == (243, 3, 240)
+
+    def test_5_3_3_counts_and_counterexamples(self):
+        # find_mono_berge shares no decision code with the exact decider
+        p = HyperParams(5, 3, 3)
+        rep = exhaustive_verify(p)
+        assert (rep.total, rep.success, rep.failure) == (59049, 34299, 24750)
+        assert len(rep.counterexamples) == 100
+        for line in rep.counterexamples:
+            assert find_mono_berge(coloring_from_digits(p, line)).verdict == "not-found"
 
     def test_shard_invariance_small(self):
         p = HyperParams(4, 3, 2)

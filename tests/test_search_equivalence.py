@@ -164,7 +164,8 @@ class LookaheadSpy(harness._BudgetedSDR):
     prefix, ending at the new vertex, that the look-ahead refuses."""
 
     def __init__(self, coloring, color, lists, nodes):
-        super().__init__(lists, [0], nodes, 10**12, coloring, color)
+        rows = coloring.class_members(color)[1].tolist()
+        super().__init__(lists, [0], nodes, 10**12, coloring.params.n, rows)
         self.refused = []
 
     def _lookahead(self, w):
