@@ -32,7 +32,7 @@ print("\nPetersen: chvatal", chvatal_check(petersen),
 g = Graph.complete(6).without_edges([(0, 2), (1, 4), (3, 5)])
 closed, added = closure_order(g)
 print("\nK_6 minus three edges closes back to K_6:", closed == Graph.complete(6))
-cert = find_hamiltonian_cycle(closed, use_closure=False)
+cert = next(iter_hamiltonian_cycles(closed))
 work = closed
 for u, v in reversed(added):
     work = work.without_edges([(u, v)])

@@ -9,12 +9,12 @@ vertex 0, taking neighbors in ascending order.  It prunes a branch when vertex
 two neighbors among the unvisited vertices, the path's end and vertex 0.  It
 yields each Hamiltonian cycle once, as the order whose second vertex is
 smaller than its last, in lexicographic order.  `iter_hamiltonian_cycles`
-exposes the whole enumeration; `find_hamiltonian_cycle` takes its first
-cycle.  An optional prefix hook can veto path pairs as the search grows
+exposes the whole enumeration, whose first cycle is the plain search on a
+graph.  An optional prefix hook can veto path pairs as the search grows
 them, which cuts whole subtrees; the Berge-cycle search uses it to stop at a
-path prefix whose pairs have no distinct hyperedges (Hall's theorem).  The
-finder's default strategy: close the graph, take the first cycle of the
-closure (none is searched for when the closure is complete), then peel the
+path prefix whose pairs have no distinct hyperedges (Hall's theorem).
+`find_hamiltonian_cycle` closes the graph, takes the first cycle of the
+closure (none is searched for when the closure is complete), then peels the
 added edges in reverse order via the transfer step, so the closure lemma does
 the heavy lifting.
 
@@ -232,7 +232,6 @@ def _cycle_orders(
 def find_hamiltonian_cycle(
     g: Graph,
     max_nodes: Optional[int] = None,
-    use_closure: bool = True,
     counter: Optional[list[int]] = None,
 ) -> Optional[CycleCertificate]:
     """Exact Hamiltonian-cycle finder.
@@ -241,20 +240,20 @@ def find_hamiltonian_cycle(
     non-Hamiltonian.  Raises SearchBudgetExceeded when the node budget runs
     out, so an undecided search is never mistaken for a proof of absence.
 
-    With use_closure (default) the search runs on the closure and the added
-    edges are peeled off in reverse order via transfer_cycle; set it False for
-    plain backtracking on g itself.  `counter`, when given, accumulates node
-    expansions in its first slot.
+    The search runs on the closure and the added edges are peeled off in
+    reverse order via transfer_cycle; for plain backtracking on g itself,
+    take the first cycle of `iter_hamiltonian_cycles`.  `counter`, when
+    given, accumulates node expansions in its first slot.
     """
     n = g.n
     if n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")
     if counter is None:
         counter = [0]
-    closed, added = closure_order(g) if use_closure else (g, [])
+    closed, added = closure_order(g)
     full = (1 << n) - 1
     masks = [closed.adjacency_mask(v) for v in range(n)]
-    if use_closure and all(m == full ^ (1 << v) for v, m in enumerate(masks)):
+    if all(m == full ^ (1 << v) for v, m in enumerate(masks)):
         order = tuple(range(n))
     else:
         order = next(_cycle_orders(masks, max_nodes, counter), None)

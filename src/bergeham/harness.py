@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice, permutations, product
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,17 +130,18 @@ def _pair_table(n: int, r: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {pair: tuple(edges) for pair, edges in table.items()}
 
 
-def _decide_exact(coloring: Coloring) -> SearchReport:
-    """Exhaustive decision: all colors, all cores up to rotation/reflection.
+def _decide_exact(params: HyperParams, colors: Sequence[int]) -> SearchReport:
+    """Exhaustive decision on a list or tuple of color ids in colex edge
+    order: all colors, all cores up to rotation/reflection.
 
-    A pair's pool, its ascending edges of the color, is filled from the
-    cached pair table the first time a core needs it."""
-    p = coloring.params
-    n = p.n
-    colors = coloring.colors.tolist()
-    table = _pair_table(n, p.r)
+    A color with fewer than n edges cannot supply n distinct edges and is
+    skipped.  A pair's pool, its ascending edges of the color, is filled
+    from the cached pair table the first time a core needs it.  Only a
+    found cycle makes a `Coloring`, to be checked by `verify_berge_cycle`."""
+    n = params.n
+    table = _pair_table(n, params.r)
     stages: dict = {"skipped_colors": []}
-    for color in range(1, p.k + 1):
+    for color in range(1, params.k + 1):
         if colors.count(color) < n:
             stages["skipped_colors"].append(color)
             continue
@@ -162,7 +163,7 @@ def _decide_exact(coloring: Coloring) -> SearchReport:
                 sdr = _sdr_search(pools)
                 if sdr is not None:
                     cycle = BergeCycle(core, tuple(sdr), color)
-                    bad = verify_berge_cycle(cycle, coloring)
+                    bad = verify_berge_cycle(cycle, Coloring(params, colors))
                     if bad is not None:
                         raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
                     return SearchReport("found", color=color, cycle=cycle, stages=stages)
@@ -177,7 +178,7 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     """
     if coloring.params.n > NAIVE_MAX_N:
         raise ValueError(f"naive oracle is factorial-bounded to n <= {NAIVE_MAX_N}")
-    return _decide_exact(coloring)
+    return _decide_exact(coloring.params, coloring.colors.tolist())
 
 
 class _BudgetedSDR(PrefixSDR):
@@ -392,11 +393,7 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     failure = 0
     examples: list[str] = []
     for digits in islice(product(colors, repeat=params.edge_count), lo, hi):
-        # a class with fewer than n edges cannot supply n distinct edges
-        if (
-            max(map(digits.count, colors)) >= params.n
-            and _decide_exact(Coloring(params, digits)).verdict == "found"
-        ):
+        if _decide_exact(params, digits).verdict == "found":
             success += 1
         else:
             failure += 1
@@ -469,8 +466,6 @@ def gen_coloring(
     """
     E = params.edge_count
     if scheme == "uniform":
-        if not 1 <= color <= params.k:
-            raise ValueError(f"color {color} out of range")
         return Coloring(params, [color] * E)
     if scheme == "random":
         rng = np.random.default_rng(seed)
@@ -478,6 +473,8 @@ def gen_coloring(
     if scheme == "vertex-partition":
         if classes is None or len(classes) != params.n:
             raise ValueError("vertex-partition needs one class id per vertex")
+        # checked here: vertices n-r+1..n-1 are no edge's minimum, so a bad
+        # class id there never reaches Coloring
         if any(not 1 <= c <= params.k for c in classes):
             raise ValueError("class ids must be valid colors")
         cols = [classes[e[0]] for e in iter_colex_edges(params.n, params.r)]
@@ -485,8 +482,5 @@ def gen_coloring(
     if scheme == "digits":
         if not digits or any(ch not in "123456789" for ch in digits):
             raise ValueError("digits scheme needs a nonempty string of digits 1-9")
-        vals = [int(digits[t % len(digits)]) for t in range(E)]
-        if any(v > params.k for v in vals):
-            raise ValueError(f"digit exceeds k={params.k}")
-        return Coloring(params, vals)
+        return Coloring(params, [int(digits[t % len(digits)]) for t in range(E)])
     raise ValueError(f"unknown scheme {scheme!r}")

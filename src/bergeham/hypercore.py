@@ -135,13 +135,17 @@ class Coloring:
     """A k-coloring of all r-subsets of [0, n), colex-indexed, colors 1..k."""
 
     def __init__(self, params: HyperParams, colors):
-        arr = np.asarray(colors, dtype=np.uint8)
+        """`colors` must be a row of C(n,r) integers in [1, k], else
+        ValueError; the coloring keeps a read-only uint8 copy of its own."""
+        arr = np.asarray(colors)
         if arr.ndim != 1 or len(arr) != params.edge_count:
             raise ValueError(
-                f"expected {params.edge_count} colors, got {arr.size}"
+                f"expected a row of {params.edge_count} colors, got shape {arr.shape}"
             )
-        if arr.size and (arr.min() < 1 or arr.max() > params.k):
-            raise ValueError(f"colors must lie in [1, {params.k}]")
+        # checked before narrowing, so no value wraps into range
+        if arr.dtype.kind not in "iu" or arr.min() < 1 or arr.max() > params.k:
+            raise ValueError(f"colors must be integers in [1, {params.k}]")
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self.params = params
         self.colors = arr
@@ -184,16 +188,7 @@ class Coloring:
             n, r, k = (int(x) for x in head)
         except ValueError:
             raise ValueError(f"non-integer header {lines[0]!r}") from None
-        params = HyperParams(n, r, k)
-        fields = lines[1].split()
-        if len(fields) != params.edge_count:
-            raise ValueError(
-                f"expected {params.edge_count} colors, got {len(fields)}"
-            )
-        vals = [int(x) for x in fields]
-        if any(not 1 <= v <= k for v in vals):
-            raise ValueError(f"color out of range [1, {k}]")
-        return cls(params, vals)
+        return cls(HyperParams(n, r, k), [int(x) for x in lines[1].split()])
 
     def __eq__(self, other):
         return (
@@ -259,7 +254,8 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
 
     Checks, in order: core and edge tuples both have length n; core is a
     permutation of [0, n); the claimed color class has at least n edges; then
-    per position (ascending, 1-based) the edge index range, distinctness
+    per position (ascending, 1-based) the edge index range (a float, a string
+    or another index numpy cannot take counts as out of range), distinctness
     against earlier positions, containment of the core pair, and the edge
     color.  The first failure is reported.
     """
@@ -285,12 +281,17 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
     for i in range(n):
         pos = i + 1
         e = cycle.edges[i]
-        if not 0 <= e < edge_count:
+        # numpy refuses a non-integer row index (IndexError), and a
+        # non-number fails the comparison (TypeError)
+        try:
+            if not 0 <= e < edge_count:
+                raise IndexError
+            row = members[e].tolist()
+        except (IndexError, TypeError):
             return Violation("edge index out of range", pos)
         if e in seen_e:
             return Violation("duplicate edge", pos)
         seen_e.add(e)
-        row = members[e].tolist()
         a, b = cycle.core[i], cycle.core[(i + 1) % n]
         if a not in row or b not in row:
             return Violation("containment", pos)

@@ -100,7 +100,20 @@ def test_closure_output(tmp_path, capsys):
 
 def test_error_paths_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
-    assert run("search", str(missing)) == 2
     garbled = tmp_path / "garbled.txt"
     garbled.write_text("5 3\n1 1\n")
-    assert run("search", str(garbled)) == 2
+    too_big = tmp_path / "too_big.txt"
+    too_big.write_text("4 3 2\n1 300 1 1\n")
+    out = tmp_path / "gen.txt"
+    gen = ("gen", "--n", "5", "--r", "3", "--k", "2", "--out", str(out))
+    for argv in [
+        ("search", str(missing)),
+        ("search", str(garbled)),
+        ("search", str(too_big)),
+        gen + ("--scheme", "uniform", "--color", "9"),
+        gen + ("--scheme", "digits", "--digits", "39"),
+    ]:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
+    assert not out.exists()

@@ -37,7 +37,7 @@ class TestConditions:
     def test_petersen_chvatal_false_and_non_hamiltonian(self, petersen):
         assert not chvatal_check(petersen)
         assert find_hamiltonian_cycle(petersen) is None
-        assert find_hamiltonian_cycle(petersen, use_closure=False) is None
+        assert next(iter_hamiltonian_cycles(petersen), None) is None
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -180,16 +180,16 @@ class TestFinder:
 
         g = Graph(10, PETERSEN_EDGES)
         with pytest.raises(SearchBudgetExceeded):
-            find_hamiltonian_cycle(g, max_nodes=3, use_closure=False)
-        assert find_hamiltonian_cycle(g, use_closure=False) is None
+            next(iter_hamiltonian_cycles(g, max_nodes=3), None)
+        assert next(iter_hamiltonian_cycles(g), None) is None
 
     def test_closure_equivalence_small(self):
         # computable closure lemma on a slice of small graphs
         rng = random.Random(43)
         for _ in range(400):
             g = random_graph(rng, rng.randint(3, 7), rng.random())
-            direct = find_hamiltonian_cycle(g, use_closure=False)
-            via = find_hamiltonian_cycle(closure(g), use_closure=False)
+            direct = next(iter_hamiltonian_cycles(g), None)
+            via = next(iter_hamiltonian_cycles(closure(g)), None)
             assert (direct is None) == (via is None)
             peeled = find_hamiltonian_cycle(g)
             assert (peeled is None) == (direct is None)
@@ -247,14 +247,23 @@ class TestEnumeration:
             assert got == brute
 
     def test_first_yield_is_plain_finder_certificate(self):
+        # with nothing to close and the graph not complete, the finder runs
+        # the plain search on the graph itself
         rng = random.Random(61)
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.9))
+        checked = found = 0
+        for _ in range(1500):
+            g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.7))
+            closed, added = closure_order(g)
+            if added or closed == Graph.complete(g.n):
+                continue
             first = next(iter_hamiltonian_cycles(g), None)
-            plain = find_hamiltonian_cycle(g, use_closure=False)
-            assert (first is None) == (plain is None)
+            cert = find_hamiltonian_cycle(g)
+            assert (first is None) == (cert is None)
             if first is not None:
-                assert first.order == plain.order
+                assert first.order == cert.order
+                found += 1
+            checked += 1
+        assert checked >= 500 and found >= 30
 
     def test_yields_canonical_orders_ascending(self):
         orders = [c.order for c in iter_hamiltonian_cycles(Graph.complete(6))]
@@ -267,14 +276,14 @@ class TestEnumeration:
             list(iter_hamiltonian_cycles(petersen, max_nodes=3))
         with pytest.raises(SearchBudgetExceeded):
             find_hamiltonian_cycle(petersen, max_nodes=3)
-        with pytest.raises(SearchBudgetExceeded):
-            find_hamiltonian_cycle(petersen, max_nodes=3, use_closure=False)
 
     def test_finder_and_enumerator_share_one_search(self, petersen):
-        # on a non-Hamiltonian graph both explore the same full search tree
+        # Petersen's closure adds nothing, so on this non-Hamiltonian graph
+        # both explore the same full search tree
         counter = [0]
         assert list(iter_hamiltonian_cycles(petersen, counter=counter)) == []
         spent = counter[0]
         assert spent > 0
-        assert find_hamiltonian_cycle(petersen, use_closure=False, counter=counter) is None
+        assert closure(petersen) == petersen
+        assert find_hamiltonian_cycle(petersen, counter=counter) is None
         assert counter[0] == 2 * spent

@@ -288,6 +288,17 @@ class TestExhaustiveVerify:
         for line in rep.counterexamples:
             assert find_mono_berge(coloring_from_digits(p, line)).verdict == "not-found"
 
+    def test_sweep_makes_a_coloring_only_for_a_found_cycle(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Coloring(*args)
+
+        monkeypatch.setattr(harness, "Coloring", counted)
+        rep = exhaustive_verify(HyperParams(5, 4, 3))
+        assert rep.success == len(built) == 3
+
     def test_shard_invariance_small(self):
         p = HyperParams(4, 3, 2)
         one = exhaustive_verify(p, shards=1)
@@ -405,5 +416,10 @@ class TestGenColoring:
             gen_coloring(p, "nope")
         with pytest.raises(ValueError):
             gen_coloring(p, "digits", digits="13")  # 3 > k
+        with pytest.raises(ValueError):
+            gen_coloring(p, "uniform", color=3)
+        with pytest.raises(ValueError):
+            # vertex 4 is no edge's minimum, so its id colors no edge
+            gen_coloring(p, "vertex-partition", classes=[1, 1, 1, 1, 3])
         with pytest.raises(ValueError):
             gen_coloring(p, "vertex-partition", classes=[1, 1])

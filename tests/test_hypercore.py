@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,39 @@ class TestColoringFormat:
         with pytest.raises(ValueError):
             c.colors[0] = 1
 
+    @pytest.mark.parametrize(
+        "colors",
+        [
+            np.array([257, 1, 2, 1]),  # 1 once narrowed to uint8
+            [256, 1, 1, 1],
+            [-1, 1, 1, 1],
+            [0, 1, 1, 1],
+            [3, 1, 1, 1],
+            np.array([2**64 - 1, 1, 1, 1], dtype=np.uint64),
+            [1.0, 2.0, 1.0, 1.0],
+            [1.5, 1, 1, 1],
+            [True, True, True, True],
+            ["1", "2", "1", "1"],
+            [2**70, 1, 1, 1],  # beyond int64: an object array
+            [1, 1, 1],
+            [[1, 1], [1, 1]],
+            1,
+        ],
+    )
+    def test_rejects_anything_but_a_row_of_colors(self, colors):
+        with pytest.raises(ValueError):
+            Coloring(HyperParams(4, 3, 2), colors)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int64])
+    def test_keeps_a_copy_of_its_own(self, dtype):
+        given = np.array([1, 2, 1, 2], dtype=dtype)
+        view = given[:]
+        c = Coloring(HyperParams(4, 3, 2), given)
+        assert given.flags.writeable
+        view[0] = 2
+        assert c.colors.tolist() == [1, 2, 1, 2]
+        assert c.colors.dtype == np.uint8 and not c.colors.flags.writeable
+
 
 def square_cycle():
     """The n=4, r=3 example cycle: consecutive triples, all color 1."""
@@ -296,6 +330,25 @@ class TestVerifier:
         assert bad is not None
         assert bad.kind == "core not a permutation"
         assert bad.position == 3
+
+    @pytest.mark.parametrize("edge", [1.5, 0.0, np.float64(2.0), "1", None])
+    def test_non_integer_edge_is_out_of_range(self, edge):
+        # 0.0 equals edge 0 at position 1: the range check still comes first
+        coloring, cycle = square_cycle()
+        edges = (cycle.edges[0], edge) + cycle.edges[2:]
+        bad = verify_berge_cycle(BergeCycle(cycle.core, edges, 1), coloring)
+        assert bad == Violation("edge index out of range", 2)
+
+    def test_numpy_ints_and_bools_read_as_before(self):
+        coloring, cycle = square_cycle()
+        as_numpy = tuple(np.int64(e) for e in cycle.edges)
+        assert verify_berge_cycle(BergeCycle(cycle.core, as_numpy, 1), coloring) is None
+        # False equals edge 0 at position 1; True indexes the member table as
+        # a mask and reads the whole table, in which no vertex is an element
+        for flag, kind in ((False, "duplicate edge"), (True, "containment")):
+            edges = (cycle.edges[0], flag) + cycle.edges[2:]
+            bad = verify_berge_cycle(BergeCycle(cycle.core, edges, 1), coloring)
+            assert bad == Violation(kind, 2)
 
     def test_dimension_mismatch_is_violation(self):
         coloring, cycle = square_cycle()
