@@ -15,9 +15,9 @@ from bergeham import (
 params = HyperParams(5, 4, 1)
 coloring = Coloring(params, [1] * 5)
 table = build_candidates((0, 1, 2, 3, 4), 1, coloring)
-for i, cands in enumerate(table.candidates):
-    print(f"position {i} pair {table.position_pair(i)}:",
-          [unrank_edge(e, params) for e in cands])
+pairs = zip(table.core, table.core[1:] + table.core[:1])
+for i, (pair, cands) in enumerate(zip(pairs, table.candidates)):
+    print(f"position {i} pair {pair}:", [unrank_edge(e, params) for e in cands])
 
 # The matching extender solves the distinct-representatives problem exactly.
 cycle = extend_matching(table)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypercore import BergeCycle, Coloring, verify_berge_cycle
+from .hypercore import BergeCycle, Coloring, _is_int, verify_berge_cycle
 
 
 @dataclass
@@ -36,38 +36,28 @@ class CandidateTable:
     coloring: Coloring
     candidates: list[list[int]]
 
-    def position_pair(self, i: int) -> tuple[int, int]:
-        n = len(self.core)
-        return self.core[i], self.core[(i + 1) % n]
-
-    def is_candidate(self, i: int, edge_index: int) -> bool:
-        return edge_index in self.candidates[i]
-
 
 def build_candidates(
     core: Sequence[int], color: int, coloring: Coloring
 ) -> CandidateTable:
     """Candidate table for a core permutation and target color.
 
-    Only the n core pairs are materialised, from the member-table rows of the
-    color class.
+    Position i lists the class edges holding both v_i and v_{i+1 mod n}: the
+    rows of the two vertices in the per-vertex incidence of the color class,
+    ANDed.  A core vertex or color that is not an integer raises ValueError.
     """
     p = coloring.params
     n = p.n
-    if sorted(core) != list(range(n)):
+    if not all(map(_is_int, core)) or sorted(core) != list(range(n)):
         raise ValueError("core must be a permutation of the vertices")
-    if not 1 <= color <= p.k:
-        raise ValueError(f"color {color} out of range")
+    if not _is_int(color) or not 1 <= color <= p.k:
+        raise ValueError(f"color {color!r} out of range")
     core = tuple(core)
     edges, rows = coloring.class_members(color)
-    slot = np.empty(n, dtype=np.intp)
-    slot[list(core)] = np.arange(n)
-    # incident[i, j]: core vertex v_i lies in the j-th class edge; row n
-    # repeats row 0 so that rows i and i+1 always hold a core pair
-    incident = np.zeros((n + 1, len(edges)), dtype=bool)
-    incident[slot[rows], np.arange(len(edges))[:, None]] = True
-    incident[n] = incident[0]
-    both = incident[:-1] & incident[1:]
+    # incident[v, j]: vertex v lies in the j-th class edge
+    incident = np.zeros((n, len(edges)), dtype=bool)
+    incident[rows, np.arange(len(edges))[:, None]] = True
+    both = incident[list(core)] & incident[list(core[1:] + core[:1])]
     cands = [edges[hit].tolist() for hit in both]
     return CandidateTable(core, color, coloring, cands)
 
@@ -108,7 +98,7 @@ class PrefixSDR:
     def __init__(
         self,
         pair_lists: dict[tuple[int, int], list[int]],
-        work_counter: Optional[list[int]] = None,
+        work_counter: list[int],
     ):
         self.pair_lists = pair_lists
         self.work_counter = work_counter
@@ -118,8 +108,7 @@ class PrefixSDR:
         self._marks: list[int] = []
 
     def push(self, u: int, v: int) -> bool:
-        if self.work_counter is not None:
-            self.work_counter[0] += 1
+        self.work_counter[0] += 1
         cands = self.cands
         cands.append(self.pair_lists[(u, v) if u < v else (v, u)])
         mark = len(self._journal)
@@ -193,7 +182,7 @@ def extend_greedy_ordered(
     for pos, e in reserved.items():
         if not 0 <= pos < n:
             raise ValueError(f"reserved position {pos} out of range")
-        if not table.is_candidate(pos, e):
+        if e not in table.candidates[pos]:
             raise ValueError(
                 f"reserved edge {e} is not a candidate for position {pos}"
             )

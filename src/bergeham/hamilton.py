@@ -272,7 +272,7 @@ def find_hamiltonian_cycle(
 
 def iter_hamiltonian_cycles(
     g: Graph,
-    max_nodes: Optional[int] = None,
+    *,
     counter: Optional[list[int]] = None,
     prefix_hook: Optional[PrefixHook] = None,
 ) -> Iterator[CycleCertificate]:
@@ -280,14 +280,14 @@ def iter_hamiltonian_cycles(
 
     Cycles are anchored at vertex 0 with second vertex < last vertex, yielded
     in lexicographic order of that canonical form.  `counter`, when given,
-    accumulates node expansions in its first slot and max_nodes caps it.
-    `prefix_hook` sees every pair of the growing path (see `PrefixHook`); the
-    cycles it lets through keep their order, and while one is being yielded
-    all of its n pairs are pushed on the hook.
+    accumulates node expansions in its first slot.  `prefix_hook` sees every
+    pair of the growing path (see `PrefixHook`); the cycles it lets through
+    keep their order, and while one is being yielded all of its n pairs are
+    pushed on the hook.
     """
     if g.n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")
     masks = [g.adjacency_mask(v) for v in range(g.n)]
     counter = [0] if counter is None else counter
-    for order in _cycle_orders(masks, max_nodes, counter, prefix_hook):
+    for order in _cycle_orders(masks, None, counter, prefix_hook):
         yield CycleCertificate(order)

@@ -159,14 +159,10 @@ class Coloring:
         """Number of edges per color; entry i-1 is the size of class i."""
         return np.bincount(self.colors, minlength=self.params.k + 1)[1:]
 
-    def class_edges(self, color: int) -> np.ndarray:
-        """Ascending edge indices of one color class."""
-        return np.flatnonzero(self.colors == color)
-
     def class_members(self, color: int) -> tuple[np.ndarray, np.ndarray]:
         """(edges, rows): ascending edge indices of one color class and the
         member-table rows of those edges."""
-        edges = self.class_edges(color)
+        edges = np.flatnonzero(self.colors == color)
         return edges, edge_members(self.params.n, self.params.r)[edges]
 
     # --- text format: line 1 "n r k", line 2 = edge_count color ids -------
@@ -223,6 +219,11 @@ def _class_pair_lists(
     return lists
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bools, floats and strings are not."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 @dataclass(frozen=True)
 class BergeCycle:
     """Core vertex sequence v_1..v_n plus distinct hyperedge indices e_1..e_n.
@@ -253,11 +254,12 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
     """Check a Hamiltonian Berge-cycle certificate; None means valid.
 
     Checks, in order: core and edge tuples both have length n; core is a
-    permutation of [0, n); the claimed color class has at least n edges; then
-    per position (ascending, 1-based) the edge index range (a float, a string
-    or another index numpy cannot take counts as out of range), distinctness
-    against earlier positions, containment of the core pair, and the edge
-    color.  The first failure is reported.
+    permutation of [0, n); the claimed color is in [1, k] and its class has at
+    least n edges (a core vertex or color that is not a Python or numpy
+    integer fails its check); then per position (ascending, 1-based) the edge
+    index range (a float, a string or another index numpy cannot take counts
+    as out of range), distinctness against earlier positions, containment of
+    the core pair, and the edge color.  The first failure is reported.
     """
     params = coloring.params
     n = params.n
@@ -265,13 +267,13 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
         return Violation("wrong length")
     seen_v = set()
     for pos, v in enumerate(cycle.core, start=1):
-        if not 0 <= v < n or v in seen_v:
+        if not _is_int(v) or not 0 <= v < n or v in seen_v:
             return Violation("core not a permutation", pos)
         seen_v.add(v)
     colors = coloring.colors
     color = cycle.color
     if color is not None:
-        if not 1 <= color <= params.k:
+        if not _is_int(color) or not 1 <= color <= params.k:
             return Violation("color id out of range")
         if int(np.count_nonzero(colors == color)) < n:
             return Violation("color class smaller than n")

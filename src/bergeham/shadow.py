@@ -98,20 +98,6 @@ class ColorProfile:
         bad[x] = False
         return int(np.count_nonzero(bad))
 
-    def lstar_stats(self) -> dict:
-        """JSON-ready summary of the good-color structure."""
-        p = self.params
-        per_color = self._good.sum(axis=0)
-        return {
-            "n": p.n,
-            "r": p.r,
-            "k": p.k,
-            "good_threshold": self.good_threshold,
-            "pairs": int(self._good.shape[0]),
-            "good_pairs_per_color": [int(c) for c in per_color],
-            "pairs_with_empty_lstar": int(np.count_nonzero(~self._good.any(axis=1))),
-        }
-
 
 def color_degree(x: int, i: int, coloring: Coloring) -> int:
     """Count color-i hyperedges containing x, straight from the coloring."""

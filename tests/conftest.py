@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bergeham import Graph
@@ -10,6 +11,12 @@ PETERSEN_EDGES = [
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
 ]
+
+
+# core vertices and colors that are not integers, although most compare equal
+# to 1; None last, since as a claimed color it means no claim
+NON_INTEGERS = [1.0, np.float64(1.0), True, "1", None]
+NON_INTEGER_IDS = ["float", "numpy-float", "bool", "str", "None"]
 
 
 @pytest.fixture

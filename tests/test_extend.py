@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from bergeham import (
@@ -14,7 +15,12 @@ from bergeham import (
     verify_berge_cycle,
 )
 from bergeham.extend import PrefixSDR, distinct_representatives
+from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.harness import _sdr_search
+from bergeham.hypercore import pair_edges
+
+from conftest import NON_INTEGER_IDS, NON_INTEGERS
+from test_construct import PINNED_CYCLES
 
 
 def uniform(n, r, k=1):
@@ -92,13 +98,34 @@ class TestBuildCandidates:
         with pytest.raises(ValueError):
             build_candidates((0, 1, 2, 2), 1, uniform(4, 3))
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_rejects_non_integer_vertex_and_color(self, bad):
+        coloring = uniform(4, 3)
+        with pytest.raises(ValueError):
+            build_candidates((0, bad, 2, 3), 1, coloring)
+        with pytest.raises(ValueError):
+            build_candidates((0, 1, 2, 3), bad, coloring)
+        table = build_candidates(tuple(np.arange(4)), np.int64(1), coloring)
+        assert table.candidates == build_candidates((0, 1, 2, 3), 1, coloring).candidates
+
+    @pytest.mark.parametrize("name, fixture", [("case1", case1_fixture), ("case2", case2_fixture)])
+    def test_pinned_cores_read_pair_edges(self, name, fixture):
+        # the constructive pipeline's own cores, at n = 12 and n = 24
+        coloring = fixture()
+        color, core, _ = PINNED_CYCLES[name]
+        table = build_candidates(tuple(core), color, coloring)
+        lists = pair_edges(coloring, color)
+        pairs = zip(core, core[1:] + core[:1])
+        assert table.candidates == [lists[min(u, v), max(u, v)] for u, v in pairs]
+
     def test_full_lists(self):
         # every pair lies in C(8,4) = 70 edges, all of color 1
         coloring = uniform(10, 6)
         table = build_candidates(tuple(range(10)), 1, coloring)
         assert [len(c) for c in table.candidates] == [comb(8, 4)] * 10
-        for i, cands in enumerate(table.candidates):
-            assert cands == pair_supersets(*table.position_pair(i), coloring.params)
+        pairs = zip(table.core, table.core[1:] + table.core[:1])
+        for cands, (u, v) in zip(table.candidates, pairs):
+            assert cands == pair_supersets(u, v, coloring.params)
         cycle = extend_matching(table)
         assert cycle is not None
         assert verify_berge_cycle(cycle, coloring) is None

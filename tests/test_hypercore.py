@@ -20,6 +20,8 @@ from bergeham import (
 )
 from bergeham.hypercore import edge_members, iter_colex_edges, pair_edges
 
+from conftest import NON_INTEGER_IDS, NON_INTEGERS
+
 
 def colex_less(a, b):
     """Independent colex comparator: compare the largest differing element."""
@@ -330,6 +332,29 @@ class TestVerifier:
         assert bad is not None
         assert bad.kind == "core not a permutation"
         assert bad.position == 3
+
+    @pytest.mark.parametrize("vertex", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_core_vertex_is_not_a_permutation(self, vertex):
+        coloring, cycle = square_cycle()
+        core = (0, vertex, 2, 3)
+        bad = verify_berge_cycle(BergeCycle(core, cycle.edges, 1), coloring)
+        assert bad == Violation("core not a permutation", 2)
+
+    @pytest.mark.parametrize("color", NON_INTEGERS[:-1], ids=NON_INTEGER_IDS[:-1])
+    def test_non_integer_color_is_out_of_range(self, color):
+        coloring, cycle = square_cycle()
+        bad = verify_berge_cycle(BergeCycle(cycle.core, cycle.edges, color), coloring)
+        assert bad == Violation("color id out of range")
+
+    def test_float_core_and_color_rejected(self):
+        coloring = Coloring(HyperParams(4, 3, 1), [1] * 4)
+        cycle = BergeCycle((0, 1.0, 2, 3), (0, 3, 2, 1), 1.0)
+        assert verify_berge_cycle(cycle, coloring) == Violation("core not a permutation", 2)
+        # integers of either kind pass, and a color of None claims none
+        for core, color in (((0, 1, 2, 3), 1), (tuple(np.arange(4)), np.int64(1)),
+                            ((0, 1, 2, 3), None)):
+            fixed = BergeCycle(core, (0, 3, 2, 1), color)
+            assert verify_berge_cycle(fixed, coloring) is None
 
     @pytest.mark.parametrize("edge", [1.5, 0.0, np.float64(2.0), "1", None])
     def test_non_integer_edge_is_out_of_range(self, edge):

@@ -80,9 +80,9 @@ def test_non_hamiltonian_colors_walk_the_plain_tree(monkeypatch):
     # closes, so the color's search walks exactly the plain search tree.
     searched = []  # (support graph, nodes counted before its search)
 
-    def spy(g, max_nodes=None, counter=None, prefix_hook=None):
+    def spy(g, *, counter, prefix_hook):
         searched.append((g, counter[0]))
-        return iter_hamiltonian_cycles(g, max_nodes, counter, prefix_hook)
+        return iter_hamiltonian_cycles(g, counter=counter, prefix_hook=prefix_hook)
 
     monkeypatch.setattr(harness, "iter_hamiltonian_cycles", spy)
     rng = random.Random(7)
@@ -126,7 +126,7 @@ def test_cycles_found_only_under_a_held_pair():
             return super().push(u, v)
 
     assert list(iter_hamiltonian_cycles(support))
-    assert not list(iter_hamiltonian_cycles(support, prefix_hook=Closings(lists)))
+    assert not list(iter_hamiltonian_cycles(support, prefix_hook=Closings(lists, [0])))
     assert closing == []
     report = find_mono_berge(coloring)
     assert report.stages["colors"][1] == "all cores exhausted"
@@ -148,7 +148,7 @@ def test_hooked_enumeration_yields_the_matchable_cores_in_order():
                 cycle = extend_matching(build_candidates(cert.order, color, coloring))
                 if cycle is not None:
                     expect.append((cert.order, cycle.edges))
-            sdr = PrefixSDR(lists)
+            sdr = PrefixSDR(lists, [0])
             got = [
                 (cert.order, tuple(sdr.representatives()))
                 for cert in iter_hamiltonian_cycles(support, prefix_hook=sdr)
@@ -198,7 +198,7 @@ def test_lookahead_yields_every_cycle_the_matcher_yields():
     cycles = refused = 0
     for coloring in colorings:
         for color, lists, support in searched_colors(coloring):
-            plain = PrefixSDR(lists)
+            plain = PrefixSDR(lists, [0])
             want = [
                 (cert.order, tuple(plain.representatives()))
                 for cert in iter_hamiltonian_cycles(support, prefix_hook=plain)

@@ -282,11 +282,3 @@ class TestMinimalBreakingSubgraph:
     def test_budget_exhaustion_returns_none(self):
         prof = ColorProfile(uniform(5, 3), good_threshold=2)
         assert minimal_breaking_subgraph(2, prof, budget=2) is None
-
-
-class TestProfileStats:
-    def test_lstar_stats_json(self):
-        prof = ColorProfile(striped(6, 3, 2))
-        stats = prof.lstar_stats()
-        assert json.loads(json.dumps(stats)) == stats
-        assert stats["pairs"] == comb(6, 2)
