@@ -297,17 +297,19 @@ def _repair_degrees(
         counts.append(max(0, 2 * r + 1 - d))
         blocked = exclusion | {v} | set(graph.neighbors(v)) | partners.get(v, set())
         through = (rows == v).any(axis=1)
+        # one ascending pass serves every step: `used` and `blocked` only
+        # grow, so an edge passed over stays unusable
+        pool = zip(edges[through].tolist(), rows[through].tolist())
         for _ in range(counts[-1]):
-            ok = through & ~np.isin(rows, list(blocked)).all(axis=1)
-            hits = np.flatnonzero(ok & ~np.isin(edges, list(used)))
-            if not hits.size:
+            for h, members in pool:
+                if h not in used and not blocked.issuperset(members):
+                    break
+            else:
                 raise GammaBuildError(
                     f"degree repair exhausted the target-color hyperedges "
                     f"through vertex {v}",
                     failing_vertex=v,
                 )
-            members = rows[hits[0]].tolist()
-            h = int(edges[hits[0]])
             fresh = next(w for w in members if w not in blocked)
             used.add(h)
             blocked.add(fresh)
@@ -484,10 +486,10 @@ def constructive_find(
     Sound, not complete: a returned cycle always verifies, and a miss reports
     the stage that failed.  Colors in the outcome are original ids.
     """
-    profile = ColorProfile(coloring, good_threshold)
     p = coloring.params
     if p.k != p.r - 1:
         raise ValueError("constructive search needs k = r-1 colors")
+    profile = ColorProfile(coloring, good_threshold)
     witness = witness_search(profile, d_bound)
     if witness is None:
         return ConstructOutcome("witness", detail="no witness found")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import Graph
 from .hamilton import find_hamiltonian_cycle
-from .hypercore import Coloring, edge_members, iter_colex_edges
+from .hypercore import Coloring, HyperParams, edge_members, iter_colex_edges
 
 
 def default_degree_bound(r: int) -> int:
@@ -31,11 +31,22 @@ def default_degree_bound(r: int) -> int:
     return comb(4 * r, r - 1)
 
 
+def _check_args(p: HyperParams, xs: tuple[int, ...], i: Optional[int] = None) -> None:
+    """Raise ValueError on a vertex or color out of range, or a pair u == v."""
+    for x in xs:
+        if not 0 <= x < p.n:
+            raise ValueError(f"vertex {x} out of range")
+    if len(xs) == 2 and xs[0] == xs[1]:
+        raise ValueError("pair endpoints must be distinct")
+    if i is not None and not 1 <= i <= p.k:
+        raise ValueError(f"color {i} out of range")
+
+
 class ColorProfile:
     """Per-pair color counts, good-color sets, and color degrees for a coloring.
 
     Built in one vectorized pass over all hyperedges; all queries afterwards
-    are read-only.
+    are read-only and raise ValueError on a vertex or color out of range.
     """
 
     def __init__(self, coloring: Coloring, good_threshold: Optional[int] = None):
@@ -45,25 +56,19 @@ class ColorProfile:
         if self.good_threshold < 1:
             raise ValueError("good_threshold must be >= 1")
         n, r, k = p.n, p.r, p.k
-        # pair_index[u, v] = colex rank of {u, v}; the meaningless diagonal is
-        # clamped in range (callers mask it out)
-        idx = np.arange(n)
-        self.pair_index = np.minimum.outer(idx, idx) + np.maximum.outer(
-            idx, idx
-        ) * (np.maximum.outer(idx, idx) - 1) // 2
-        np.fill_diagonal(self.pair_index, 0)
         edges = edge_members(n, r)
         ci = coloring.colors.astype(np.intp) - 1
-        counts = np.zeros(comb(n, 2) * k, dtype=np.int64)
+        # counts[u, v, i-1] = color-i hyperedges through u and v; rows are
+        # ascending, so the loop fills u < v and the transpose the rest
+        counts = np.zeros(n * n * k, dtype=np.int64)
         for a, b in combinations(range(r), 2):
-            cell = self.pair_index[edges[:, a], edges[:, b]] * k + ci
+            cell = (edges[:, a].astype(np.intp) * n + edges[:, b]) * k + ci
             counts += np.bincount(cell, minlength=counts.size)
-        deg = np.zeros(n * k, dtype=np.int64)
-        for c in range(r):
-            cell = edges[:, c].astype(np.intp) * k + ci
-            deg += np.bincount(cell, minlength=deg.size)
-        self._deg = deg.reshape(n, k)
-        self._good = counts.reshape(-1, k) >= self.good_threshold
+        counts = counts.reshape(n, n, k)
+        counts = counts + counts.transpose(1, 0, 2)
+        self._good = counts >= self.good_threshold
+        # each color-i hyperedge through x holds r-1 other vertices
+        self._deg = counts.sum(axis=1) // (r - 1)
 
     @property
     def params(self):
@@ -71,41 +76,34 @@ class ColorProfile:
 
     def good_colors(self, u: int, v: int) -> set[int]:
         """L*(uv): colors with at least good_threshold hyperedges through u, v."""
-        if u == v:
-            raise ValueError("pair endpoints must be distinct")
-        row = self._good[self.pair_index[u, v]]
-        return {int(i) + 1 for i in np.flatnonzero(row)}
+        _check_args(self.params, (u, v))
+        return {int(i) + 1 for i in np.flatnonzero(self._good[u, v])}
 
     def is_good(self, u: int, v: int, i: int) -> bool:
-        return bool(self._good[self.pair_index[u, v], i - 1])
+        _check_args(self.params, (u, v), i)
+        return bool(self._good[u, v, i - 1])
 
     def color_degree(self, x: int, i: int) -> int:
         """Number of color-i hyperedges containing x."""
-        p = self.params
-        if not 0 <= x < p.n:
-            raise ValueError(f"vertex {x} out of range")
-        if not 1 <= i <= p.k:
-            raise ValueError(f"color {i} out of range")
+        _check_args(self.params, (x,), i)
         return int(self._deg[x, i - 1])
 
     def ubar_set(self, x: int, i: int) -> frozenset[int]:
-        bad = ~self._good[self.pair_index[x], i - 1]
+        _check_args(self.params, (x,), i)
+        bad = ~self._good[x, :, i - 1]
         bad[x] = False
         return frozenset(int(y) for y in np.flatnonzero(bad))
 
     def ubar_size(self, x: int, i: int) -> int:
-        bad = ~self._good[self.pair_index[x], i - 1]
-        bad[x] = False
-        return int(np.count_nonzero(bad))
+        _check_args(self.params, (x,), i)
+        # the zero diagonal is never good, so x is not counted among the good
+        return self.params.n - 1 - int(np.count_nonzero(self._good[x, :, i - 1]))
 
 
 def color_degree(x: int, i: int, coloring: Coloring) -> int:
     """Count color-i hyperedges containing x, straight from the coloring."""
     p = coloring.params
-    if not 0 <= x < p.n:
-        raise ValueError(f"vertex {x} out of range")
-    if not 1 <= i <= p.k:
-        raise ValueError(f"color {i} out of range")
+    _check_args(p, (x,), i)
     count = 0
     for t, e in enumerate(iter_colex_edges(p.n, p.r)):
         if x in e and coloring.colors[t] == i:
@@ -124,13 +122,11 @@ def u_sets(
     I = sorted(set(I))
     if not I:
         raise ValueError("color set I must be nonempty")
-    n = profile.params.n
-    u_acc = np.ones(n, dtype=bool)
-    ub_acc = np.ones(n, dtype=bool)
     for i in I:
-        col = profile._good[profile.pair_index[x], i - 1]
-        u_acc &= col
-        ub_acc &= ~col
+        _check_args(profile.params, (x,), i)
+    good = profile._good[x][:, [i - 1 for i in I]]
+    u_acc = good.all(axis=1)
+    ub_acc = ~good.any(axis=1)
     u_acc[x] = False
     ub_acc[x] = False
     return (
@@ -288,13 +284,12 @@ def partition_trq(g: Graph) -> PartitionTRQ:
 def bad_edge_graph(i: int, profile: ColorProfile) -> Graph:
     """The graph W_i of vertex pairs for which color i is not good."""
     p = profile.params
-    if not 1 <= i <= p.k:
-        raise ValueError(f"color {i} out of range")
+    _check_args(p, (), i)
     n = p.n
     edges = [
         (u, v)
         for u, v in combinations(range(n), 2)
-        if not profile._good[profile.pair_index[u, v], i - 1]
+        if not profile._good[u, v, i - 1]
     ]
     return Graph(n, edges)
 

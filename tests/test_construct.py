@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bergeham import (
@@ -17,10 +19,12 @@ from bergeham import (
     verify_berge_cycle,
     witness_search,
 )
-from bergeham.construct import _repair_degrees
+from bergeham import construct
+from bergeham.construct import _edge_key, _repair_degrees
 from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.graphs import Graph
 from bergeham.hypercore import iter_colex_edges
+from conftest import random_graph
 
 
 def uniform(n, r, k):
@@ -231,6 +235,64 @@ class TestCase2:
         assert b.gamma.degree(17) > 2 * 5
 
 
+def repair_degrees_per_step(vertices, graph, exclusion, edges, rows, reserved):
+    """Reference for `_repair_degrees`: every step rescans the whole class for
+    the lowest unused hyperedge through v with a member outside `blocked`."""
+    r = rows.shape[1]
+    used = set(reserved.values())
+    added, counts, degrees, cover, partners = [], [], [], set(), {}
+    for v in vertices:
+        d = graph.degree(v)
+        degrees.append(d)
+        counts.append(max(0, 2 * r + 1 - d))
+        blocked = exclusion | {v} | set(graph.neighbors(v)) | partners.get(v, set())
+        through = (rows == v).any(axis=1)
+        for _ in range(counts[-1]):
+            ok = through & ~np.isin(rows, list(blocked)).all(axis=1)
+            hits = np.flatnonzero(ok & ~np.isin(edges, list(used)))
+            if not hits.size:
+                raise GammaBuildError("exhausted", failing_vertex=v)
+            members = rows[hits[0]].tolist()
+            h = int(edges[hits[0]])
+            fresh = next(w for w in members if w not in blocked)
+            used.add(h)
+            blocked.add(fresh)
+            cover.update(members)
+            partners.setdefault(fresh, set()).add(v)
+            key = _edge_key(v, fresh)
+            added.append(key)
+            reserved[key] = h
+    return added, counts, degrees, cover
+
+
+def test_repair_degrees_matches_per_step_reference():
+    rng = random.Random(12)
+    exhausted = 0
+    for trial in range(400):
+        n, r = rng.choice([(7, 3), (9, 3), (11, 3), (8, 4), (10, 4)])
+        p = HyperParams(n, r, 2)
+        coloring = Coloring(p, [rng.choice([1, 1, 2]) for _ in range(p.edge_count)])
+        edges, rows = coloring.class_members(1)
+        graph = random_graph(rng, n, rng.random())
+        exclusion = set(rng.sample(range(n), rng.randint(0, 3)))
+        vertices = rng.sample(range(n), rng.randint(1, 4))
+        taken = rng.sample(edges.tolist(), min(len(edges), rng.randint(0, 6)))
+        # hyperedges some earlier gamma edge reserved, under keys no repair makes
+        start = {(n + j, n + j + 1): h for j, h in enumerate(taken)}
+        results = []
+        for repair in (_repair_degrees, repair_degrees_per_step):
+            reserved = dict(start)
+            try:
+                out = repair(vertices, graph, set(exclusion), edges, rows, reserved)
+            except GammaBuildError as err:
+                out = ("exhausted", err.failing_vertex)
+            results.append((out, reserved))
+        assert results[0] == results[1], trial
+        exhausted += results[0][0][0] == "exhausted"
+    # both branches are exercised
+    assert 50 < exhausted < 350
+
+
 # Constructive outputs recorded before the two degree-repair rounds were
 # merged into one routine; a refactor must not pick different hyperedges.
 CASE2_BUNDLE_SHA256 = "49a323f19b1af7879157990a93138ccf945c40667edb4118fe6875fd80151392"
@@ -339,6 +401,9 @@ class TestPipeline:
         assert verify_berge_cycle(out.cycle, coloring) is None
         assert naive_oracle(coloring).verdict == "found"
 
-    def test_requires_paper_color_count(self):
+    def test_requires_paper_color_count(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(construct, "ColorProfile", lambda *a: built.append(a))
         with pytest.raises(ValueError):
             constructive_find(uniform(8, 3, 1))
+        assert not built  # k is checked before any profile is built

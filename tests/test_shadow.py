@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -14,6 +15,7 @@ from bergeham import (
     color_degree,
     find_avoiding_set,
     find_hamiltonian_cycle,
+    gen_coloring,
     minimal_breaking_subgraph,
     partition_trq,
     u_sets,
@@ -79,11 +81,40 @@ class TestColorDegree:
         assert color_degree(0, 1, c) + color_degree(0, 2, c) == comb(4, 2) == 6
 
     def test_profile_agrees_with_direct_count(self):
-        c = striped(6, 3, 3)
-        prof = ColorProfile(c)
-        for x in range(6):
-            for i in (1, 2, 3):
-                assert prof.color_degree(x, i) == color_degree(x, i, c)
+        # brute-force pair and vertex counts from the colex edge list, at
+        # r = 2, r = n and two paper-sized shapes, against every profile query
+        colorings = [striped(6, 3, 3)] + [
+            gen_coloring(HyperParams(*shape), "random", seed=7)
+            for shape in [(6, 2, 3), (5, 5, 2), (12, 5, 4), (24, 5, 4)]
+        ]
+        for c in colorings:
+            n, r, k = c.params.n, c.params.r, c.params.k
+            pairs = Counter()
+            degrees = Counter()
+            for e, color in zip(iter_colex_edges(n, r), c.colors.tolist()):
+                pairs.update((u, v, color) for u, v in combinations(e, 2))
+                degrees.update((x, color) for x in e)
+            for x in range(n):
+                for i in range(1, k + 1):
+                    assert color_degree(x, i, c) == degrees[x, i]
+            for threshold in (1, 2, 3):
+                prof = ColorProfile(c, good_threshold=threshold)
+                good = {(u, v, i) for (u, v, i), m in pairs.items() if m >= threshold}
+                for u, v in combinations(range(n), 2):
+                    expect = {i for i in range(1, k + 1) if (u, v, i) in good}
+                    assert prof.good_colors(u, v) == prof.good_colors(v, u) == expect
+                    for i in range(1, k + 1):
+                        assert prof.is_good(u, v, i) == (i in expect)
+                        assert prof.is_good(v, u, i) == (i in expect)
+                for x in range(n):
+                    for i in range(1, k + 1):
+                        assert prof.color_degree(x, i) == degrees[x, i]
+                        ubar = {
+                            y for y in range(n)
+                            if y != x and (min(x, y), max(x, y), i) not in good
+                        }
+                        assert prof.ubar_set(x, i) == ubar
+                        assert prof.ubar_size(x, i) == len(ubar)
 
     def test_out_of_range(self):
         c = uniform(5, 3)
@@ -91,6 +122,33 @@ class TestColorDegree:
             color_degree(5, 1, c)
         with pytest.raises(ValueError):
             color_degree(0, 3, c)
+
+
+RANGE_COLORING = gen_coloring(HyperParams(7, 3, 3), "random", seed=1)
+BAD_QUERIES = {
+    "is_good-color-0": lambda p: p.is_good(0, 1, 0),
+    "is_good-color-k+1": lambda p: p.is_good(0, 1, 4),
+    "is_good-vertex-n": lambda p: p.is_good(0, 7, 1),
+    "is_good-vertex-negative": lambda p: p.is_good(-1, 1, 1),
+    "is_good-equal-endpoints": lambda p: p.is_good(2, 2, 1),
+    "good_colors-vertex-n": lambda p: p.good_colors(7, 0),
+    "good_colors-vertex-negative": lambda p: p.good_colors(0, -1),
+    "ubar_set-color-0": lambda p: p.ubar_set(0, 0),
+    "ubar_set-vertex-n": lambda p: p.ubar_set(7, 1),
+    "ubar_size-vertex-negative": lambda p: p.ubar_size(-1, 1),
+    "ubar_size-color-k+1": lambda p: p.ubar_size(0, 4),
+    "color_degree-vertex-negative": lambda p: p.color_degree(-1, 1),
+    "u_sets-color-0": lambda p: u_sets(0, [1, 0], p),
+    "u_sets-vertex-negative": lambda p: u_sets(-1, [1], p),
+    "u_sets-vertex-n": lambda p: u_sets(7, [2], p),
+}
+
+
+@pytest.mark.parametrize("query", BAD_QUERIES.values(), ids=BAD_QUERIES.keys())
+def test_profile_queries_reject_bad_vertex_or_color(query):
+    # a negative vertex or color would otherwise index from the end of the table
+    with pytest.raises(ValueError):
+        query(ColorProfile(RANGE_COLORING))
 
 
 class TestUSets:
