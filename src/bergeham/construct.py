@@ -234,6 +234,18 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _certified(candidates, target: int, profile: ColorProfile) -> dict:
+    """Map each (key, vertex set) candidate's key to the colex rank of the
+    target-colored hyperedge its set spans; a key keeps its first such edge."""
+    certified = {}
+    for key, vertices in candidates:
+        if key not in certified:
+            h = rank_edge(sorted(vertices), profile.params)
+            if profile.coloring.colors[h] == target:
+                certified[key] = h
+    return certified
+
+
 def build_gamma_case1(witness: Witness, profile: ColorProfile) -> GammaBundle:
     """Auxiliary graph for a maximal split (f = r-2).
 
@@ -250,18 +262,14 @@ def build_gamma_case1(witness: Witness, profile: ColorProfile) -> GammaBundle:
     Y = list(witness.y[: r - 2])
     yset = set(Y)
     others = [v for v in range(n) if v not in yset]
-    e1 = []
-    reserved: dict[tuple[int, int], int] = {}
-    for u, v in combinations(others, 2):
-        h = rank_edge(sorted(Y + [u, v]), p)
-        if profile.coloring.colors[h] == target:
-            e1.append((u, v))
-            reserved[(u, v)] = h
+    reserved = _certified(
+        (((u, v), Y + [u, v]) for u, v in combinations(others, 2)), target, profile
+    )
     e2 = [(y, v) for y in Y for v in others]
-    gamma = Graph(n, e1 + e2)
+    gamma = Graph(n, [*reserved, *e2])
     info = {
         "Y": Y,
-        "E1_size": len(e1),
+        "E1_size": len(reserved),
         "E2_size": len(e2),
     }
     return GammaBundle(gamma, reserved, 1, target, witness, info)
@@ -299,7 +307,7 @@ def _repair_degrees(
         through = (rows == v).any(axis=1)
         # one ascending pass serves every step: `used` and `blocked` only
         # grow, so an edge passed over stays unusable
-        pool = zip(edges[through].tolist(), rows[through].tolist())
+        pool = zip(edges[through].tolist(), map(np.ndarray.tolist, rows[through]))
         for _ in range(counts[-1]):
             for h, members in pool:
                 if h not in used and not blocked.issuperset(members):
@@ -333,8 +341,9 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
     vertices); and x joined to everything the repairs did not touch.
 
     Raises GammaBuildError when |Ubar_{f+1}(x)| exceeds r-2, when too few
-    hyperedges through x and Y have the target color, or when a repair step
-    exhausts its candidates (the failing vertex is reported).
+    hyperedges through x and Y have the target color, when U outgrows
+    A_{r-1} and k = 2 leaves no middle part, or when a repair step exhausts
+    its candidates (the failing vertex is reported).
     """
     p = profile.params
     r, n, k = p.r, p.n, p.k
@@ -354,36 +363,27 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
     u_list = [witness.y_of(f + 1)] + sorted(ubar_f1 - {witness.y_of(f + 1)})
     Y = [witness.y_of(i) for i in range(1, k + 1) if i != f + 1]
     yset = set(Y)
+    others = [v for v in range(n) if v != x and v not in yset]
     edges, rows = profile.coloring.class_members(target)
 
     # E1: bad-pair vertices of the tail colors, certified through x
-    e1 = []
-    reserved: dict[tuple[int, int], int] = {}
-    for i in range(f + 2, r):
-        orig = witness.original_color(i)
-        y_i = witness.y_of(i)
-        Yi = sorted(w for w in Y if w != y_i)
-        for u in sorted(profile.ubar_set(x, orig) - {y_i}):
-            for v in range(n):
-                if v in yset or v == x or v == u:
-                    continue
-                h = rank_edge(sorted(Yi + [x, u, v]), p)
-                if profile.coloring.colors[h] != target:
-                    continue
-                key = _edge_key(u, v)
-                e1.append(key)
-                if key not in reserved:
-                    reserved[key] = h
-    e1 = sorted(set(e1))
+    tails = [(witness.y_of(i), witness.original_color(i)) for i in range(f + 2, r)]
+    reserved = _certified(
+        (
+            (_edge_key(u, v), [w for w in Y if w != y_i] + [x, u, v])
+            for y_i, orig in tails
+            for u in sorted(profile.ubar_set(x, orig) - {y_i})
+            for v in others
+            if v != u
+        ),
+        target,
+        profile,
+    )
+    e1_size = len(reserved)
 
     # E2: partition of the x-certified vertex set U over the witness vertices
-    U = [
-        v
-        for v in range(n)
-        if v != x
-        and v not in yset
-        and profile.coloring.colors[rank_edge(sorted(Y + [x, v]), p)] == target
-    ]
+    through_x = _certified(((v, Y + [x, v]) for v in others), target, profile)
+    U = list(through_x)
     quota = n // 2 + 1
     if len(U) < quota:
         raise GammaBuildError(
@@ -393,6 +393,11 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
     parts: dict[int, list[int]] = {i: [] for i in range(1, k + 1)}
     parts[k] = U[:quota]
     middle = [i for i in range(1, k) if i != f + 1]
+    if len(U) > quota and not middle:
+        raise GammaBuildError(
+            f"k = {k} leaves no middle part A_i for the {len(U) - quota} vertices "
+            f"of U past floor(n/2)+1 = {quota}"
+        )
     for j, v in enumerate(U[quota:]):
         parts[middle[j % len(middle)]].append(v)
     e2 = []
@@ -403,9 +408,8 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
         for v in parts[i]:
             key = _edge_key(y_i, v)
             e2.append(key)
-            if key not in reserved:
-                reserved[key] = rank_edge(sorted(Y + [x, v]), p)
-    gamma1 = Graph(n, e1 + e2)
+            reserved.setdefault(key, through_x[v])
+    gamma1 = Graph(n, reserved)  # every E1 and E2 edge is reserved
 
     # E3 and E4: degree repairs for the bad-pair vertices at x, then for the
     # vertices where every color is good at x
@@ -450,7 +454,7 @@ def build_gamma_case2(witness: Witness, profile: ColorProfile) -> GammaBundle:
         "A_cover": sorted(a_cover),
         "B_cover": sorted(b_cover),
         "E_sizes": {
-            "E1": len(e1),
+            "E1": e1_size,
             "E2": len(e2),
             "E3": len(e3),
             "E4": len(e4),

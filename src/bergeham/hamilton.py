@@ -54,12 +54,6 @@ class CycleCertificate:
             if not masks[u] >> v & 1:
                 raise ValueError(f"certificate uses missing edge ({u},{v})")
 
-    def uses_edge(self, u: int, v: int) -> bool:
-        n = len(self.order)
-        pos = {w: i for i, w in enumerate(self.order)}
-        d = abs(pos[u] - pos[v])
-        return d == 1 or d == n - 1
-
 
 def dirac_check(g: Graph) -> bool:
     """Minimum degree at least n/2 (integer form: 2*deg >= n)."""
@@ -120,12 +114,13 @@ def closure(g: Graph) -> Graph:
 def _transfer_order(
     masks: list[int], n: int, u: int, v: int, order: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Rewire a cycle of g+uv that uses uv into a cycle of g (crossing pair)."""
-    pos = {w: i for i, w in enumerate(order)}
-    iu, iv = pos[u], pos[v]
-    if (iv - iu) % n != 1:
-        u, v = v, u
-        iu, iv = iv, iu
+    """Rewire a cycle of g+uv into a cycle of g (crossing pair); a cycle that
+    does not use uv is already one of g and comes back as `order` itself."""
+    iu, iv = order.index(u), order.index(v)
+    if (iu - iv) % n == 1:
+        u, v, iu, iv = v, u, iv, iu
+    elif (iv - iu) % n != 1:
+        return order
     # v directly follows u; walking backward from u traverses the rest of the
     # cycle, giving a path p[0]=u ... p[n-1]=v that avoids the uv edge
     p = [order[(iu - t) % n] for t in range(n)]
@@ -150,12 +145,13 @@ def transfer_cycle(
             f"degree sum {g.degree(u)}+{g.degree(v)} < n={n}; transfer needs >= n"
         )
     cert.validate(g.with_edges([(u, v)]))
-    if g.has_edge(u, v) or not cert.uses_edge(u, v):
+    if g.has_edge(u, v):
         return cert
-    masks = [g.adjacency_mask(w) for w in range(n)]
-    out = CycleCertificate(_transfer_order(masks, n, u, v, cert.order))
-    out.validate(g)
-    return out
+    order = _transfer_order(g._adj, n, u, v, cert.order)
+    if order is not cert.order:
+        cert = CycleCertificate(order)
+        cert.validate(g)
+    return cert
 
 
 class PrefixHook(Protocol):
@@ -262,9 +258,7 @@ def find_hamiltonian_cycle(
     for u, v in reversed(added):
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
-        pos = {w: i for i, w in enumerate(order)}
-        if (pos[u] - pos[v]) % n in (1, n - 1):
-            order = _transfer_order(masks, n, u, v, order)
+        order = _transfer_order(masks, n, u, v, order)
     cert = CycleCertificate(order)
     cert.validate(g)
     return cert

@@ -419,11 +419,13 @@ def exhaustive_verify(
     the shard and worker counts.  Up to 100 lexicographically smallest failing
     colorings are kept.
     """
-    total = params.k ** params.edge_count
+    edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
+    # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power
+    total = params.k ** min(edges, bits)
     if total > MAX_SWEEP_COLORINGS:
+        count = f"{params.k}^{edges}" + (f" = {total}" if edges <= bits else "")
         raise ValueError(
-            f"{params.k}^{params.edge_count} = {total} colorings exceed the "
-            f"{MAX_SWEEP_COLORINGS} cap; narrow the parameters"
+            f"{count} colorings exceed the {MAX_SWEEP_COLORINGS} cap; narrow the parameters"
         )
     if not 1 <= shards <= total:
         raise ValueError(f"shards must be between 1 and {total}, the number of colorings")

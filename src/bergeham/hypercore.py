@@ -31,6 +31,8 @@ class HyperParams:
     k: int = 1
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.n, self.r, self.k))):
+            raise ValueError(f"n, r and k must be integers, got {self!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if not 2 <= self.r <= self.n:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import Graph
 from .hamilton import find_hamiltonian_cycle
-from .hypercore import Coloring, HyperParams, edge_members, iter_colex_edges
+from .hypercore import Coloring, HyperParams, _is_int, edge_members, iter_colex_edges
 
 
 def default_degree_bound(r: int) -> int:
@@ -31,15 +31,16 @@ def default_degree_bound(r: int) -> int:
     return comb(4 * r, r - 1)
 
 
-def _check_args(p: HyperParams, xs: tuple[int, ...], i: Optional[int] = None) -> None:
-    """Raise ValueError on a vertex or color out of range, or a pair u == v."""
+def _check_args(p: HyperParams, xs: tuple[int, ...], colors: Iterable[int] = ()) -> None:
+    """Raise ValueError on a vertex or color that is no integer in range, or u == v."""
     for x in xs:
-        if not 0 <= x < p.n:
-            raise ValueError(f"vertex {x} out of range")
+        if not _is_int(x) or not 0 <= x < p.n:
+            raise ValueError(f"vertex {x!r} is not an integer in [0, {p.n})")
     if len(xs) == 2 and xs[0] == xs[1]:
         raise ValueError("pair endpoints must be distinct")
-    if i is not None and not 1 <= i <= p.k:
-        raise ValueError(f"color {i} out of range")
+    for i in colors:
+        if not _is_int(i) or not 1 <= i <= p.k:
+            raise ValueError(f"color {i!r} is not an integer in [1, {p.k}]")
 
 
 class ColorProfile:
@@ -80,22 +81,22 @@ class ColorProfile:
         return {int(i) + 1 for i in np.flatnonzero(self._good[u, v])}
 
     def is_good(self, u: int, v: int, i: int) -> bool:
-        _check_args(self.params, (u, v), i)
+        _check_args(self.params, (u, v), (i,))
         return bool(self._good[u, v, i - 1])
 
     def color_degree(self, x: int, i: int) -> int:
         """Number of color-i hyperedges containing x."""
-        _check_args(self.params, (x,), i)
+        _check_args(self.params, (x,), (i,))
         return int(self._deg[x, i - 1])
 
     def ubar_set(self, x: int, i: int) -> frozenset[int]:
-        _check_args(self.params, (x,), i)
+        _check_args(self.params, (x,), (i,))
         bad = ~self._good[x, :, i - 1]
         bad[x] = False
         return frozenset(int(y) for y in np.flatnonzero(bad))
 
     def ubar_size(self, x: int, i: int) -> int:
-        _check_args(self.params, (x,), i)
+        _check_args(self.params, (x,), (i,))
         # the zero diagonal is never good, so x is not counted among the good
         return self.params.n - 1 - int(np.count_nonzero(self._good[x, :, i - 1]))
 
@@ -103,7 +104,7 @@ class ColorProfile:
 def color_degree(x: int, i: int, coloring: Coloring) -> int:
     """Count color-i hyperedges containing x, straight from the coloring."""
     p = coloring.params
-    _check_args(p, (x,), i)
+    _check_args(p, (x,), (i,))
     count = 0
     for t, e in enumerate(iter_colex_edges(p.n, p.r)):
         if x in e and coloring.colors[t] == i:
@@ -119,11 +120,10 @@ def u_sets(
     For a single color the two sets partition the other vertices; for larger I
     they are intersections and need not cover everything.
     """
-    I = sorted(set(I))
+    I = list(I)
+    _check_args(profile.params, (x,), I)
     if not I:
         raise ValueError("color set I must be nonempty")
-    for i in I:
-        _check_args(profile.params, (x,), i)
     good = profile._good[x][:, [i - 1 for i in I]]
     u_acc = good.all(axis=1)
     ub_acc = ~good.any(axis=1)
@@ -212,8 +212,8 @@ def _greedy_avoiding(
         fresh = next(
             (
                 (u, v)
-                for u, v in combinations(range(n), 2)
-                if usable(u) and usable(v) and not profile.is_good(u, v, i)
+                for u, v in bad_edge_graph(i, profile).edges()
+                if usable(u) and usable(v)
             ),
             None,
         )
@@ -284,14 +284,10 @@ def partition_trq(g: Graph) -> PartitionTRQ:
 def bad_edge_graph(i: int, profile: ColorProfile) -> Graph:
     """The graph W_i of vertex pairs for which color i is not good."""
     p = profile.params
-    _check_args(p, (), i)
-    n = p.n
-    edges = [
-        (u, v)
-        for u, v in combinations(range(n), 2)
-        if not profile._good[u, v, i - 1]
-    ]
-    return Graph(n, edges)
+    _check_args(p, (), (i,))
+    # pairs u < v only: the diagonal is never good, so it would read as bad
+    bad = np.triu(~profile._good[:, :, i - 1], 1)
+    return Graph(p.n, np.argwhere(bad).tolist())
 
 
 def minimal_breaking_subgraph(

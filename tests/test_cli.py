@@ -70,6 +70,13 @@ def test_exhaust_infeasible_exit_code(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_exhaust_cap_refused_before_the_power(capsys):
+    assert run("exhaust", "--n", "3000", "--r", "2", "--k", "3") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["infeasible: 3^4498500 colorings exceed the 5000000 cap; "
+                   "narrow the parameters"]
+
+
 @pytest.mark.parametrize("flag, value", [("--shards", "1000000000"), ("--workers", "0")])
 def test_exhaust_bad_shards_or_workers_exit_code(capsys, flag, value):
     assert run("exhaust", "--n", "4", "--r", "3", "--k", "1", flag, value) == 2
@@ -87,6 +94,17 @@ def test_construct_with_bundle_dump(tmp_path, capsys):
     blob = json.loads(bundle_path.read_text())
     assert blob["case"] == 1
     assert blob["reserved"]
+
+
+def test_construct_gamma_failure_is_one_line(tmp_path, capsys):
+    # r = 3 leaves case 2 no middle part for the U vertices past floor(n/2)+1
+    path = tmp_path / "seed45.txt"
+    assert run("gen", "--scheme", "random", "--n", "8", "--r", "3", "--k", "2",
+               "--seed", "45", "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run("construct", str(path), "--d-bound", "0", "--good-threshold", "2") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("not found (stage: gamma)")
 
 
 def test_closure_output(tmp_path, capsys):

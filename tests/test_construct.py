@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -23,6 +24,7 @@ from bergeham import construct
 from bergeham.construct import _edge_key, _repair_degrees
 from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.graphs import Graph
+from bergeham.harness import gen_coloring
 from bergeham.hypercore import iter_colex_edges
 from conftest import random_graph
 
@@ -217,6 +219,24 @@ class TestCase2:
         assert err.value.failing_vertex == 0
         assert "exhausted" in str(err.value)
         assert sorted(reserved) == [(0, 4), (0, 5)]
+
+    def test_leftover_u_without_middle_part_is_a_gamma_failure(self):
+        # at r = 3 every A_i but A_{f+1} and A_{r-1} is missing, so the U
+        # vertices past floor(n/2)+1 have no part to go to
+        coloring = gen_coloring(HyperParams(8, 3, 2), "random", seed=45)
+        out = constructive_find(coloring, d_bound=0, good_threshold=2)
+        assert out.stage == "gamma"
+        assert "no middle part" in out.detail
+
+    def test_repair_converts_only_the_rows_it_scans(self, bundle):
+        # the repair scans about 200 of the 14 000 class rows through its
+        # vertices; building a list for each would trigger about 15
+        # generation-0 collections per call
+        prof, w, _ = bundle
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        build_gamma_case2(w, prof)
+        assert gc.get_stats()[0]["collections"] - before <= 2
 
     def test_all_good_repair_never_contacts_itself(self):
         # thin out color 1 through {0, 17} so that the all-good vertex 17

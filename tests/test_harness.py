@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -322,6 +323,12 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError) as err:
             exhaustive_verify(HyperParams(6, 3, 3))
         assert "3486784401" in str(err.value)
+
+    def test_cap_decided_without_the_power(self):
+        # 2^27405 has too many digits to print; the power is named instead
+        with pytest.raises(ValueError, match="5000000 cap") as err:
+            exhaustive_verify(HyperParams(30, 4, 2))
+        assert str(err.value).startswith(f"2^{comb(30, 4)} colorings exceed")
 
     def test_monotone_under_extra_color(self):
         # a failing k-coloring read with an unused extra color still fails

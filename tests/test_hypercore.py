@@ -106,6 +106,14 @@ class TestParams:
         with pytest.raises(ValueError):
             HyperParams(5, 3, 256)
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [2.5], ids=NON_INTEGER_IDS + ["2.5"])
+    def test_rejects_non_integers(self, bad):
+        # a float n raised TypeError in comb, and a float or bool k was accepted
+        for args in [(bad, 3), (6, bad), (6, 3, bad)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                HyperParams(*args)
+        assert HyperParams(np.int64(5), np.uint8(3), np.int32(2)).edge_count == 10
+
 
 class TestPairSupersets:
     def test_counts(self):

@@ -22,6 +22,7 @@ from bergeham import (
 )
 from bergeham.hypercore import iter_colex_edges, rank_edge
 from bergeham.shadow import ColorProfile, default_degree_bound
+from conftest import NON_INTEGER_IDS, NON_INTEGERS
 
 
 def uniform(n, r, k=2, color=1):
@@ -142,6 +143,18 @@ BAD_QUERIES = {
     "u_sets-vertex-negative": lambda p: u_sets(-1, [1], p),
     "u_sets-vertex-n": lambda p: u_sets(7, [2], p),
 }
+# a bool would read as a numpy mask and a float as numpy's IndexError
+for bad, name in zip(NON_INTEGERS, NON_INTEGER_IDS):
+    BAD_QUERIES.update({
+        f"is_good-vertex-{name}": lambda p, bad=bad: p.is_good(bad, 2, 1),
+        f"is_good-color-{name}": lambda p, bad=bad: p.is_good(0, 1, bad),
+        f"good_colors-vertex-{name}": lambda p, bad=bad: p.good_colors(0, bad),
+        f"ubar_set-vertex-{name}": lambda p, bad=bad: p.ubar_set(bad, 2),
+        f"ubar_size-color-{name}": lambda p, bad=bad: p.ubar_size(0, bad),
+        f"color_degree-color-{name}": lambda p, bad=bad: p.color_degree(0, bad),
+        f"u_sets-color-{name}": lambda p, bad=bad: u_sets(0, [1, bad], p),
+        f"bad_edge_graph-color-{name}": lambda p, bad=bad: bad_edge_graph(bad, p),
+    })
 
 
 @pytest.mark.parametrize("query", BAD_QUERIES.values(), ids=BAD_QUERIES.keys())
