@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: verify, search, exhaust, construct, closure, gen.  Exit codes:
-0 = found/verified, 1 = not-found/invalid, 2 = undecided/infeasible.
+0 = found/verified, 1 = not-found/invalid, 2 = undecided/infeasible; bad
+input and a coloring too large for memory print one `error:` line and exit 2.
 
 File formats:
 - coloring: line 1 "n r k"; line 2 = C(n,r) space-separated color ids in
@@ -190,6 +191,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy's allocation failure is one, too
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 2
 
 

@@ -72,20 +72,14 @@ class Graph:
         return sum(m.bit_count() for m in self._adj) // 2
 
     def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        masks = list(self._adj)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return Graph._from_masks(masks)
+        """This graph plus the given edges, checked as the constructor does."""
+        added = Graph(self.n, edges)._adj
+        return Graph._from_masks([a | b for a, b in zip(self._adj, added)])
 
     def without_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        masks = list(self._adj)
-        for u, v in edges:
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-        return Graph._from_masks(masks)
+        """This graph minus the given edges, checked as the constructor does."""
+        gone = Graph(self.n, edges)._adj
+        return Graph._from_masks([a & ~b for a, b in zip(self._adj, gone)])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self._adj == other._adj

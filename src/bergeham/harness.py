@@ -4,10 +4,9 @@
 matter, it runs the Hamiltonian backtracker once on the pair-support graph
 with a prefix matcher hooked in, so the path and its distinct hyperedges grow
 together and a prefix with none is cut (Hall's theorem), or walked on until a
-cycle closes, which decides Hamiltonicity.  From the color's first backtrack
-on, a look-ahead also refuses a path whose unvisited vertices cannot each get
-two distinct class edges; its refusals, too, are walked on until a cycle
-closes.  It falls back to the constructive pipeline when budgets bite.
+cycle closes, which decides Hamiltonicity.  The matcher, `_BudgetedSDR`, also
+runs a look-ahead, described there.  It falls back to the constructive
+pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
 plus brute-force SDR over pools read from its own cached pair table, no graph
 machinery), and `exhaustive_verify` sweeps an entire coloring space.
@@ -39,6 +38,7 @@ from .hypercore import (
     BergeCycle,
     Coloring,
     HyperParams,
+    _check_int,
     _class_pair_lists,
     iter_colex_edges,
     verify_berge_cycle,
@@ -192,8 +192,9 @@ class _BudgetedSDR(PrefixSDR):
     edges with at least two vertices in R.  Every pair still to come lies
     inside R and needs an edge of E_R of its own, so the pair is refused when
     |E_R| < n - (pairs held), or when some unvisited vertex lies in fewer
-    than two edges of E_R.  The closing pair is not checked.  A search that
-    never backtracks never pays for the look-ahead.
+    than two edges of E_R.  Both are necessary for distinct edges, so the
+    look-ahead changes the work and nothing else.  The closing pair is not
+    checked.  A search that never backtracks never pays for the look-ahead.
 
     Until a cycle of the support graph closes, a pair that the matcher or the
     look-ahead refuses is held unmatched instead, and its subtree is walked
@@ -283,18 +284,14 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
     first cycle it yields is the answer: the first core, in the backtracker's
     order, that has distinct edges, with the edges that augmenting-path
-    matching of its pairs in order gives.  From the color's first backtrack
-    on, a look-ahead (see `_BudgetedSDR`) also cuts a path when the class
-    edges with two vertices among the unvisited vertices, the path's end and
-    vertex 0 are fewer than the pairs still to come, or when an unvisited
-    vertex lies in fewer than two of them; both are necessary for distinct
-    edges, so the look-ahead changes the work and nothing else.  Until a
-    cycle of the support graph closes, a prefix that the matcher or the
-    look-ahead cuts is walked on unmatched, yielding nothing, so a color that
-    yields nothing is "all cores exhausted" when a cycle closed and "support
-    graph not Hamiltonian" otherwise.  A budget hit
-    parks the color; parked colors get one constructive attempt, and the
-    verdict is undecided only if some color stays unresolved.
+    matching of its pairs in order gives.  The matcher's look-ahead (see
+    `_BudgetedSDR`) cuts more prefixes, but only ones with no distinct edges.
+    Until a cycle of the support graph closes, a prefix that the matcher or
+    the look-ahead cuts is walked on unmatched, yielding nothing, so a color
+    that yields nothing is "all cores exhausted" when a cycle closed and
+    "support graph not Hamiltonian" otherwise.  A budget hit parks the color;
+    parked colors get one constructive attempt, and the verdict is undecided
+    only if some color stays unresolved.
 
     The budget is cumulative across colors, not a fresh allowance per color:
     search nodes and augmenting-path attempts (one per search-tree edge not
@@ -413,10 +410,11 @@ def exhaustive_verify(
     Colorings are the color tuples of `itertools.product(range(1, k+1),
     repeat=C(n,r))` over the colex edge order, so a coloring's counter value
     is its position in that order: edge 0 is the most significant digit and
-    counter order is lexicographic on the digit strings.  `shards`, between 1
-    and the number of colorings, splits the counter range; results are merged
-    in range order, so counts and retained counterexamples are independent of
-    the shard and worker counts.  Up to 100 lexicographically smallest failing
+    counter order is lexicographic on the digit strings.  `shards`, an
+    integer between 1 and the number of colorings, splits the counter range,
+    and `workers` is an integer of at least 1; results are merged in range
+    order, so counts and retained counterexamples are independent of the
+    shard and worker counts.  Up to 100 lexicographically smallest failing
     colorings are kept.
     """
     edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
@@ -427,10 +425,8 @@ def exhaustive_verify(
         raise ValueError(
             f"{count} colorings exceed the {MAX_SWEEP_COLORINGS} cap; narrow the parameters"
         )
-    if not 1 <= shards <= total:
-        raise ValueError(f"shards must be between 1 and {total}, the number of colorings")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    _check_int("shards", shards, 1, total)
+    _check_int("workers", workers, 1)
     bounds = [total * i // shards for i in range(shards + 1)]
     args = ([params] * shards, bounds[:-1], bounds[1:])
     if workers == 1:

@@ -6,6 +6,11 @@ over that index space.  Everything here is immutable after construction.
 
 Which vertices an edge holds is read from one cached member table per (n, r),
 `edge_members`; pair lists, candidate tables and the verifier all use it.
+
+Every vertex, color and edge index a public call takes passes one argument
+check, `_check_args`: a Python or numpy integer (`_is_int`: no bool, float or
+string) in [0, n), [1, k] or [0, C(n, r)) respectively, else ValueError.  The
+verifier reports a failure of the same rule as a `Violation`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,16 +57,14 @@ class HyperParams:
 
 def rank_edge(subset: Sequence[int], params: HyperParams) -> int:
     """Colex rank of an r-subset: sum of C(v_j, j+1) over the sorted elements."""
-    r, n = params.r, params.n
-    if len(subset) != r:
-        raise ValueError(f"subset has {len(subset)} vertices, expected r={r}")
+    if len(subset) != params.r:
+        raise ValueError(f"subset has {len(subset)} vertices, expected r={params.r}")
+    _check_args(params, subset)
     prev = -1
     rank = 0
     for j, v in enumerate(subset):
         if v <= prev:
             raise ValueError(f"subset {tuple(subset)} is not strictly increasing")
-        if v >= n:
-            raise ValueError(f"vertex {v} out of range for n={n}")
         prev = v
         rank += comb(v, j + 1)
     return rank
@@ -69,8 +72,7 @@ def rank_edge(subset: Sequence[int], params: HyperParams) -> int:
 
 def unrank_edge(index: int, params: HyperParams) -> tuple[int, ...]:
     """The r-subset of [0, n) with the given colex rank."""
-    if not 0 <= index < params.edge_count:
-        raise ValueError(f"edge index {index} out of range [0, {params.edge_count})")
+    _check_args(params, edges=(index,))
     out = [0] * params.r
     j = params.r
     v = params.n
@@ -123,12 +125,8 @@ def pair_supersets(u: int, v: int, params: HyperParams) -> list[int]:
 
     There are exactly C(n-2, r-2) of them.
     """
-    n, r = params.n, params.r
-    if u == v:
-        raise ValueError("u and v must be distinct")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex out of range for n={n}")
-    members = edge_members(n, r)
+    _check_args(params, (u, v))
+    members = edge_members(params.n, params.r)
     hit = (members == u).any(axis=1) & (members == v).any(axis=1)
     return np.flatnonzero(hit).tolist()
 
@@ -153,8 +151,7 @@ class Coloring:
         self.colors = arr
 
     def color_of(self, index: int) -> int:
-        if not 0 <= index < self.params.edge_count:
-            raise ValueError(f"edge index {index} out of range")
+        _check_args(self.params, edges=(index,))
         return int(self.colors[index])
 
     def class_sizes(self) -> np.ndarray:
@@ -203,6 +200,7 @@ class Coloring:
 def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""
+    _check_args(coloring.params, colors=(color,))
     edges, rows = coloring.class_members(color)
     return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())
 
@@ -224,6 +222,31 @@ def _class_pair_lists(
 def _is_int(x) -> bool:
     """A Python or numpy integer; bools, floats and strings are not."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def _check_int(name: str, x, lo: int, hi: float = float("inf")) -> None:
+    """Raise ValueError unless x is a Python or numpy integer in [lo, hi]."""
+    if not _is_int(x) or not lo <= x <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+
+
+def _check_args(p: HyperParams, vertices: Sequence = (), colors: Iterable = (),
+                edges: Iterable = ()) -> None:
+    """Raise ValueError unless each vertex, color and edge index is an integer
+    in range (see the module docstring) and a pair of vertices is distinct."""
+    # a Python int in range, the common case, skips the `_check_int` call
+    n = p.n
+    for v in vertices:
+        if type(v) is not int or not 0 <= v < n:
+            _check_int("vertex", v, 0, n - 1)
+    if len(vertices) == 2 and vertices[0] == vertices[1]:
+        raise ValueError("pair endpoints must be distinct")
+    for i in colors:
+        if type(i) is not int or not 1 <= i <= p.k:
+            _check_int("color", i, 1, p.k)
+    for e in edges:
+        if type(e) is not int or not 0 <= e < p.edge_count:
+            _check_int("edge index", e, 0, p.edge_count - 1)
 
 
 @dataclass(frozen=True)
@@ -257,11 +280,11 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
 
     Checks, in order: core and edge tuples both have length n; core is a
     permutation of [0, n); the claimed color is in [1, k] and its class has at
-    least n edges (a core vertex or color that is not a Python or numpy
-    integer fails its check); then per position (ascending, 1-based) the edge
-    index range (a float, a string or another index numpy cannot take counts
-    as out of range), distinctness against earlier positions, containment of
-    the core pair, and the edge color.  The first failure is reported.
+    least n edges; then per position (ascending, 1-based) the edge index
+    range, distinctness against earlier positions, containment of the core
+    pair, and the edge color.  A core vertex, color or edge index that is not
+    a Python or numpy integer (`_is_int`) fails its check.  The first failure
+    is reported.
     """
     params = coloring.params
     n = params.n
@@ -285,18 +308,13 @@ def verify_berge_cycle(cycle: BergeCycle, coloring: Coloring) -> Optional[Violat
     for i in range(n):
         pos = i + 1
         e = cycle.edges[i]
-        # numpy refuses a non-integer row index (IndexError), and a
-        # non-number fails the comparison (TypeError)
-        try:
-            if not 0 <= e < edge_count:
-                raise IndexError
-            row = members[e].tolist()
-        except (IndexError, TypeError):
+        if not _is_int(e) or not 0 <= e < edge_count:
             return Violation("edge index out of range", pos)
         if e in seen_e:
             return Violation("duplicate edge", pos)
         seen_e.add(e)
         a, b = cycle.core[i], cycle.core[(i + 1) % n]
+        row = members[e].tolist()
         if a not in row or b not in row:
             return Violation("containment", pos)
         if color is not None and colors[e] != color:

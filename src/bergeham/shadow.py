@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import Graph
 from .hamilton import find_hamiltonian_cycle
-from .hypercore import Coloring, HyperParams, _is_int, edge_members, iter_colex_edges
+from .hypercore import Coloring, _check_args, _check_int, edge_members, iter_colex_edges
 
 
 def default_degree_bound(r: int) -> int:
@@ -31,31 +31,20 @@ def default_degree_bound(r: int) -> int:
     return comb(4 * r, r - 1)
 
 
-def _check_args(p: HyperParams, xs: tuple[int, ...], colors: Iterable[int] = ()) -> None:
-    """Raise ValueError on a vertex or color that is no integer in range, or u == v."""
-    for x in xs:
-        if not _is_int(x) or not 0 <= x < p.n:
-            raise ValueError(f"vertex {x!r} is not an integer in [0, {p.n})")
-    if len(xs) == 2 and xs[0] == xs[1]:
-        raise ValueError("pair endpoints must be distinct")
-    for i in colors:
-        if not _is_int(i) or not 1 <= i <= p.k:
-            raise ValueError(f"color {i!r} is not an integer in [1, {p.k}]")
-
-
 class ColorProfile:
     """Per-pair color counts, good-color sets, and color degrees for a coloring.
 
     Built in one vectorized pass over all hyperedges; all queries afterwards
-    are read-only and raise ValueError on a vertex or color out of range.
+    are read-only and pass their vertices and colors through
+    `hypercore._check_args`.  A good threshold that is not an integer of at
+    least 1 raises ValueError.
     """
 
     def __init__(self, coloring: Coloring, good_threshold: Optional[int] = None):
         p = coloring.params
         self.coloring = coloring
         self.good_threshold = p.r - 1 if good_threshold is None else good_threshold
-        if self.good_threshold < 1:
-            raise ValueError("good_threshold must be >= 1")
+        _check_int("good_threshold", self.good_threshold, 1)
         n, r, k = p.n, p.r, p.k
         edges = edge_members(n, r)
         ci = coloring.colors.astype(np.intp) - 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bergeham import cli
 from bergeham.cli import main
 from bergeham.fixtures import case1_fixture
 from bergeham.hypercore import Coloring
@@ -134,4 +135,20 @@ def test_error_paths_exit_2(tmp_path, capsys):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("err", [MemoryError(), MemoryError("Unable to allocate 1.00 TiB")])
+def test_gen_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, err):
+    # C(40, 20) colors do not fit in memory: list and numpy allocations both
+    # raise a MemoryError
+    def gen_coloring(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(cli, "gen_coloring", gen_coloring)
+    out = tmp_path / "x.txt"
+    assert run("gen", "--scheme", "uniform", "--n", "40", "--r", "20", "--k", "1",
+               "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
     assert not out.exists()

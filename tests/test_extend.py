@@ -105,6 +105,9 @@ class TestBuildCandidates:
             build_candidates((0, bad, 2, 3), 1, coloring)
         with pytest.raises(ValueError):
             build_candidates((0, 1, 2, 3), bad, coloring)
+        for color in (0, 2):  # k = 1
+            with pytest.raises(ValueError):
+                build_candidates((0, 1, 2, 3), color, coloring)
         table = build_candidates(tuple(np.arange(4)), np.int64(1), coloring)
         assert table.candidates == build_candidates((0, 1, 2, 3), 1, coloring).candidates
 

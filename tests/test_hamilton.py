@@ -113,6 +113,25 @@ class TestClosure:
                 assert c.has_edge(u, v)
 
 
+class TestGraphEdits:
+    @pytest.mark.parametrize("edit", ["with_edges", "without_edges"])
+    @pytest.mark.parametrize("edge", [(0, 4), (-1, 2), (1, 1)])
+    def test_edges_checked_as_the_constructor_does(self, edit, edge):
+        # an endpoint out of range once raised IndexError, or "negative shift
+        # count" for -1, and without_edges took a loop
+        with pytest.raises(ValueError) as built:
+            Graph(4, [edge])
+        with pytest.raises(ValueError) as edited:
+            getattr(Graph.complete(4), edit)([(0, 1), edge])
+        assert str(edited.value) == str(built.value)
+
+    def test_results(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert g.with_edges([(2, 3), (1, 0)]) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert g.without_edges([(2, 1), (0, 3)]) == Graph(4, [(0, 1)])
+        assert g == Graph(4, [(0, 1), (1, 2)])  # the graph itself is unchanged
+
+
 class TestCertificate:
     def test_validate_names_the_first_missing_edge(self):
         cert = CycleCertificate((0, 1, 2, 3, 4))

@@ -18,6 +18,7 @@ from bergeham import harness
 from bergeham.fixtures import case1_fixture
 from bergeham.harness import SearchReport
 from bergeham.hypercore import BergeCycle, iter_colex_edges, pair_edges, pair_supersets
+from conftest import NON_INTEGER_IDS, NON_INTEGERS
 from test_differential import DRAWN_SPACES, SPACES
 
 
@@ -354,6 +355,13 @@ class TestExhaustiveVerify:
         # (4,3,1) has exactly one coloring, so one shard is the only choice
         with pytest.raises(ValueError):
             exhaustive_verify(HyperParams(4, 3, 1), shards=shards, workers=workers)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_shards_and_workers_rejected(self, bad):
+        # shards=True used to run one shard and workers=True one serial sweep
+        for kwargs in ({"shards": bad}, {"workers": bad}):
+            with pytest.raises(ValueError):
+                exhaustive_verify(HyperParams(4, 3, 1), **kwargs)
 
     def test_pool_capped_at_the_cpu_count(self, monkeypatch):
         # a stand-in pool that records its size and maps serially, so no

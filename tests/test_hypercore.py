@@ -168,6 +168,38 @@ class TestPairSupersets:
             assert pair_supersets(u, v, p) == expect
 
 
+# (5,3,2): vertices in [0, 5), edge indices in [0, 10), colors in [1, 2].
+# Each public entry taking one index, with one out-of-range value for it.
+P532 = HyperParams(5, 3, 2)
+C532 = Coloring(P532, [1, 2] * 5)
+INDEX_ENTRIES = {
+    "rank_edge": (lambda x: rank_edge((0, x, 2), P532), 5),
+    "unrank_edge": (lambda x: unrank_edge(x, P532), 10),
+    "pair_supersets": (lambda x: pair_supersets(x, 2, P532), -1),
+    "color_of": (lambda x: C532.color_of(x), 10),
+    "pair_edges": (lambda x: pair_edges(C532, x), 3),
+}
+OUT_OF_RANGE = object()  # stands for the entry's own out-of-range value
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+@pytest.mark.parametrize("bad", NON_INTEGERS + [OUT_OF_RANGE],
+                         ids=NON_INTEGER_IDS + ["out-of-range"])
+def test_index_entries_reject_non_integers_and_out_of_range(entry, bad):
+    # a bool or float compared equal to 1 and was answered as if it were one
+    call, out_of_range = INDEX_ENTRIES[entry]
+    with pytest.raises(ValueError):
+        call(out_of_range if bad is OUT_OF_RANGE else bad)
+    call(np.int64(1))  # numpy integers pass
+
+
+def test_index_entries_keep_their_integer_results():
+    assert rank_edge((0, np.int64(1), 2), P532) == rank_edge((0, 1, 2), P532) == 0
+    assert unrank_edge(np.uint8(9), P532) == unrank_edge(9, P532) == (2, 3, 4)
+    assert pair_supersets(np.int32(1), 2, P532) == pair_supersets(1, 2, P532) == [0, 3, 6]
+    assert C532.color_of(np.int64(3)) == C532.color_of(3) == 2
+
+
 class TestMemberTable:
     def test_rows_are_unranked_edges(self):
         for n, r in [(2, 2), (6, 3), (7, 7), (9, 4)]:
@@ -364,24 +396,24 @@ class TestVerifier:
             fixed = BergeCycle(core, (0, 3, 2, 1), color)
             assert verify_berge_cycle(fixed, coloring) is None
 
-    @pytest.mark.parametrize("edge", [1.5, 0.0, np.float64(2.0), "1", None])
+    # every kind in NON_INTEGERS, and two integers out of range
+    @pytest.mark.parametrize("edge", [1.5, 0.0, np.float64(2.0), "1", None, True, -1, 4])
     def test_non_integer_edge_is_out_of_range(self, edge):
-        # 0.0 equals edge 0 at position 1: the range check still comes first
+        # 0.0 equals edge 0 at position 1, and True once read the member
+        # table as a mask: the range check comes first
         coloring, cycle = square_cycle()
         edges = (cycle.edges[0], edge) + cycle.edges[2:]
         bad = verify_berge_cycle(BergeCycle(cycle.core, edges, 1), coloring)
         assert bad == Violation("edge index out of range", 2)
 
-    def test_numpy_ints_and_bools_read_as_before(self):
+    def test_numpy_ints_verify_and_bools_are_out_of_range(self):
         coloring, cycle = square_cycle()
         as_numpy = tuple(np.int64(e) for e in cycle.edges)
         assert verify_berge_cycle(BergeCycle(cycle.core, as_numpy, 1), coloring) is None
-        # False equals edge 0 at position 1; True indexes the member table as
-        # a mask and reads the whole table, in which no vertex is an element
-        for flag, kind in ((False, "duplicate edge"), (True, "containment")):
+        for flag in (False, True):
             edges = (cycle.edges[0], flag) + cycle.edges[2:]
             bad = verify_berge_cycle(BergeCycle(cycle.core, edges, 1), coloring)
-            assert bad == Violation(kind, 2)
+            assert bad == Violation("edge index out of range", 2)
 
     def test_dimension_mismatch_is_violation(self):
         coloring, cycle = square_cycle()

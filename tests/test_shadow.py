@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from bergeham import (
@@ -53,6 +54,16 @@ class TestGoodColors:
         prof = ColorProfile(uniform(6, 3))
         with pytest.raises(ValueError):
             prof.good_colors(1, 1)
+
+    # None is absent: it asks for the default threshold r-1
+    @pytest.mark.parametrize("bad", NON_INTEGERS[:-1] + [1.5, 0],
+                             ids=NON_INTEGER_IDS[:-1] + ["1.5", "0"])
+    def test_threshold_must_be_a_positive_integer(self, bad):
+        # 1.5 used to act as a threshold of 2
+        with pytest.raises(ValueError):
+            ColorProfile(uniform(6, 3), good_threshold=bad)
+        prof = ColorProfile(uniform(6, 3), good_threshold=np.int64(2))
+        assert prof.good_colors(0, 1) == {1}
 
     def test_monotone_under_recoloring(self):
         # turning one more hyperedge to color i never shrinks the good set for i
