@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypercore import BergeCycle, Coloring, _check_args, _is_int, verify_berge_cycle
+from .hypercore import BergeCycle, Coloring, _is_int, verify_berge_cycle
 
 
 @dataclass
@@ -50,7 +50,6 @@ def build_candidates(
     n = p.n
     if not all(map(_is_int, core)) or sorted(core) != list(range(n)):
         raise ValueError("core must be a permutation of the vertices")
-    _check_args(p, colors=(color,))
     core = tuple(core)
     edges, rows = coloring.class_members(color)
     # incident[v, j]: vertex v lies in the j-th class edge

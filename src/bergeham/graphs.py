@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .hypercore import _is_int
+
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -26,6 +28,11 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         for u, v in edges:
+            # Python ints, the common case, skip the `_is_int` calls
+            if type(u) is not int or type(v) is not int:
+                if not (_is_int(u) and _is_int(v)):
+                    raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint")
+                u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -9,7 +9,9 @@ runs a look-ahead, described there.  It falls back to the constructive
 pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
 plus brute-force SDR over pools read from its own cached pair table, no graph
-machinery), and `exhaustive_verify` sweeps an entire coloring space.
+machinery, in `_berge_cycle`), and `exhaustive_verify` sweeps an entire
+coloring space with the same decider, deciding whole subtrees of colorings
+at once.
 
 Budgets are node expansions plus matching augmentations; wall clock never
 influences a verdict.
@@ -21,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -40,6 +42,7 @@ from .hypercore import (
     HyperParams,
     _check_int,
     _class_pair_lists,
+    edge_members,
     iter_colex_edges,
     verify_berge_cycle,
 )
@@ -130,43 +133,85 @@ def _pair_table(n: int, r: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {pair: tuple(edges) for pair, edges in table.items()}
 
 
-def _decide_exact(params: HyperParams, colors: Sequence[int]) -> SearchReport:
-    """Exhaustive decision on a list or tuple of color ids in colex edge
-    order: all colors, all cores up to rotation/reflection.
+@lru_cache(maxsize=8)
+def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
+    """Entry x has bit t set when vertex x lies in the colex-rank-t edge."""
+    members = edge_members(n, r)
+    flags = np.zeros((n, len(members)), dtype=bool)
+    flags[members.T, np.arange(len(members))] = True
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
-    A color with fewer than n edges cannot supply n distinct edges and is
-    skipped.  A pair's pool, its ascending edges of the color, is filled
-    from the cached pair table the first time a core needs it.  Only a
-    found cycle makes a `Coloring`, to be checked by `verify_berge_cycle`."""
-    n = params.n
-    table = _pair_table(n, params.r)
-    stages: dict = {"skipped_colors": []}
-    for color in range(1, params.k + 1):
-        if colors.count(color) < n:
-            stages["skipped_colors"].append(color)
-            continue
-        filled: dict[tuple[int, int], list[int]] = {}
-        for perm in permutations(range(1, n)):
-            if n > 2 and perm[0] > perm[-1]:
-                continue  # reflection representative
-            core = (0,) + perm
-            pools = []
-            for a, b in zip(core, perm + (0,)):
-                pair = (a, b) if a < b else (b, a)
-                pool = filled.get(pair)
-                if pool is None:
-                    pool = filled[pair] = [e for e in table[pair] if colors[e] == color]
-                if not pool:
-                    break
-                pools.append(pool)
-            else:
+
+@lru_cache(maxsize=None)
+def _one_color(color: int) -> bytes:
+    """A `bytes.translate` table: byte `color` to b"1", every other to b"0"."""
+    return bytes(49 if i == color else 48 for i in range(256))
+
+
+def _berge_cycle(
+    n: int, r: int, allowed: int, needed: int = -1
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(core, edges) of a Hamiltonian Berge-cycle of K_n^r whose edges all
+    lie in `allowed` (bit t: the colex-rank-t edge), or None if there is none.
+
+    It refuses at once when fewer than n edges are allowed or some vertex
+    lies in fewer than two of them.  Otherwise it tries every core up to
+    rotation/reflection, in permutation order, with brute-force distinct
+    representatives.  A pair's pool, its ascending allowed edges, is filled
+    from the cached pair table the first time a core needs it.  A `needed`
+    edge skips every core with no pool holding it; pass one only when every
+    cycle on `allowed` is known to use that edge."""
+    if allowed.bit_count() < n:
+        return None
+    for mask in _vertex_masks(n, r):
+        mask &= allowed
+        if not mask & (mask - 1):
+            return None
+    table = _pair_table(n, r)
+    filled: dict[tuple[int, int], list[int]] = {}
+    for perm in permutations(range(1, n)):
+        if n > 2 and perm[0] > perm[-1]:
+            continue  # reflection representative
+        core = (0,) + perm
+        pools = []
+        for a, b in zip(core, perm + (0,)):
+            pair = (a, b) if a < b else (b, a)
+            pool = filled.get(pair)
+            if pool is None:
+                pool = filled[pair] = [e for e in table[pair] if allowed >> e & 1]
+            if not pool:
+                break
+            pools.append(pool)
+        else:
+            if needed < 0 or any(needed in pool for pool in pools):
                 sdr = _sdr_search(pools)
                 if sdr is not None:
-                    cycle = BergeCycle(core, tuple(sdr), color)
-                    bad = verify_berge_cycle(cycle, Coloring(params, colors))
-                    if bad is not None:
-                        raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
-                    return SearchReport("found", color=color, cycle=cycle, stages=stages)
+                    return core, tuple(sdr)
+    return None
+
+
+def _decide_exact(params: HyperParams, colors: Sequence[int]) -> SearchReport:
+    """Exhaustive decision on a list or tuple of color ids in colex edge order:
+    `_berge_cycle` on each color's edges in turn.
+
+    A color with fewer than n edges is skipped.  Only a found cycle makes a
+    `Coloring`, to be checked by `verify_berge_cycle`."""
+    n = params.n
+    text = bytes(colors)[::-1]  # edge t becomes bit t of a color's mask
+    stages: dict = {"skipped_colors": []}
+    for color in range(1, params.k + 1):
+        allowed = int(text.translate(_one_color(color)), 2)
+        if allowed.bit_count() < n:
+            stages["skipped_colors"].append(color)
+            continue
+        found = _berge_cycle(n, params.r, allowed)
+        if found is not None:
+            cycle = BergeCycle(*found, color)
+            bad = verify_berge_cycle(cycle, Coloring(params, colors))
+            if bad is not None:
+                raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
+            return SearchReport("found", color=color, cycle=cycle, stages=stages)
     return SearchReport("not-found", stages=stages)
 
 
@@ -383,19 +428,77 @@ class ExhaustReport:
             fh.write("\n")
 
 
+def _digits(m: int, length: int, k: int) -> list[int]:
+    """The colors 1..k of counter value m, most significant digit first."""
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        m, d = divmod(m, k)
+        out[i] = d + 1
+    return out
+
+
 def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
-    """Classify the colorings at counter values [lo, hi) of the sweep order."""
-    colors = range(1, params.k + 1)
-    success = 0
-    failure = 0
+    """Classify the colorings at counter values [lo, hi) of the sweep order
+    by a walk of the prefix tree (see `exhaustive_verify`)."""
+    n, r, k, count = params.n, params.r, params.k, params.edge_count
+    success = failure = 0
     examples: list[str] = []
-    for digits in islice(product(colors, repeat=params.edge_count), lo, hi):
-        if _decide_exact(params, digits).verdict == "found":
-            success += 1
-        else:
-            failure += 1
-            if len(examples) < ExhaustReport.MAX_STORED:
-                examples.append(" ".join(map(str, digits)))
+
+    def fail(a: int, b: int) -> None:  # every coloring in [a, b) fails
+        nonlocal failure
+        failure += b - a
+        for m in range(a, min(b, a + ExhaustReport.MAX_STORED - len(examples))):
+            examples.append(" ".join(map(str, _digits(m, count, k))))
+
+    def edge_mask(found) -> int:
+        return 0 if found is None else sum(1 << e for e in found[1])
+
+    owned = [0] * k  # per color (0-based): the edges of the prefix it holds
+    full = (1 << count) - 1
+
+    def walk(j: int, base: int, witness: list[int]) -> None:
+        """Give edge j each color under the prefix of edges 0..j-1 held in
+        `owned`, whose subtree starts at counter `base`.  witness[d] holds
+        the edges of a cycle on color d's edges plus edges j.., or 0 when
+        there is none."""
+        nonlocal success
+        size = k ** (count - j - 1)
+        bit = 1 << j
+        rest = full >> (j + 1) << (j + 1)  # the edges after j
+        for c in range(k):
+            start = base + c * size
+            a, b = max(start, lo), min(start + size, hi)
+            if a >= b:
+                continue
+            mine = owned[c] | bit
+            # the prefix held no c-cycle, so a new one uses edge j
+            found = _berge_cycle(n, r, mine, j)
+            if found is not None:
+                cycle = BergeCycle(*found, c + 1)
+                bad = verify_berge_cycle(cycle, Coloring(params, _digits(a, count, k)))
+                if bad is not None:
+                    raise RuntimeError(f"sweep produced an invalid cycle: {bad}")
+                success += b - a
+                continue
+            alive = list(witness)
+            for d, edges in enumerate(witness):
+                if d != c and edges & bit:
+                    alive[d] = edge_mask(_berge_cycle(n, r, owned[d] | rest))
+            if not any(alive):
+                fail(a, b)
+                continue
+            if j + 1 == count:
+                raise RuntimeError("a color has a cycle at a leaf but was not counted")
+            owned[c] = mine
+            walk(j + 1, start, alive)
+            owned[c] = mine ^ bit
+
+    if hi - lo > 1:
+        walk(0, 0, [edge_mask(_berge_cycle(n, r, full))] * k)
+    elif _decide_exact(params, _digits(lo, count, k)).verdict == "found":
+        success = 1
+    else:
+        fail(lo, hi)
     return success, failure, examples
 
 
@@ -416,6 +519,21 @@ def exhaustive_verify(
     order, so counts and retained counterexamples are independent of the
     shard and worker counts.  Up to 100 lexicographically smallest failing
     colorings are kept.
+
+    Each shard walks the prefix tree over its counter range: the colorings
+    that share the colors of edges 0..j-1 form one contiguous range, and the
+    node's children, edge j colored 1..k, follow in counter order.  The exact
+    decider `_berge_cycle` settles whole subtrees.  When edge j's color c
+    closes a c-cycle among the edges colored so far (it must use edge j),
+    every completion succeeds: the subtree's colorings in range are counted
+    and the cycle is verified once, on the first of them.  A color is alive
+    while it has a cycle on its edges plus every edge not yet colored; one
+    witness cycle is kept per alive color and rechecked only when another
+    color takes one of its edges.  When no color is alive every completion
+    fails, and the failures are kept in counter order.  A leaf is always
+    settled one way or the other.  A shard of a single coloring, so every
+    k = 1 sweep, is decided directly by `naive_oracle`'s decider: a tree over
+    one coloring's edges would try every core of each sparse prefix.
     """
     edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
     # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power

@@ -161,6 +161,7 @@ class Coloring:
     def class_members(self, color: int) -> tuple[np.ndarray, np.ndarray]:
         """(edges, rows): ascending edge indices of one color class and the
         member-table rows of those edges."""
+        _check_args(self.params, colors=(color,))
         edges = np.flatnonzero(self.colors == color)
         return edges, edge_members(self.params.n, self.params.r)[edges]
 
@@ -200,7 +201,6 @@ class Coloring:
 def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""
-    _check_args(coloring.params, colors=(color,))
     edges, rows = coloring.class_members(color)
     return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())
 

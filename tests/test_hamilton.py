@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bergeham import (
@@ -16,7 +17,7 @@ from bergeham import (
 )
 from bergeham.hamilton import closure_order
 
-from conftest import random_graph
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, random_graph
 
 
 def cycle_graph(n):
@@ -124,6 +125,16 @@ class TestGraphEdits:
         with pytest.raises(ValueError) as edited:
             getattr(Graph.complete(4), edit)([(0, 1), edge])
         assert str(edited.value) == str(built.value)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_endpoints_must_be_integers(self, bad):
+        # (True, 2) built the edge (1, 2), and (0, 1.5) raised TypeError
+        for edge in [(bad, 2), (0, bad)]:
+            with pytest.raises(ValueError):
+                Graph(4, [edge])
+        g = Graph(4, [(np.int64(1), np.uint8(2))])  # numpy integers pass
+        assert g == Graph(4, [(1, 2)])
+        assert all(type(g.adjacency_mask(v)) is int for v in range(4))
 
     def test_results(self):
         g = Graph(4, [(0, 1), (1, 2)])

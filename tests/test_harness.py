@@ -1,4 +1,6 @@
 import random
+import time
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -97,10 +99,12 @@ def pair_edges_decide(coloring):
     return SearchReport("not-found", stages=stages)
 
 
+@lru_cache(maxsize=None)
 def decoded_sweep(params):
     """Reference sweep: counter m decoded by repeated divmod, edge 0 most
-    significant, each coloring decided by the oracle.  Returns the success
-    count and every failing coloring in counter order."""
+    significant, each coloring decided by the oracle on its own, with no
+    prefix tree.  Returns the success count and every failing coloring in
+    counter order; each shape is swept once per test session."""
     success, failures = 0, []
     for m in range(params.k ** params.edge_count):
         digits = []
@@ -290,7 +294,9 @@ class TestExhaustiveVerify:
         for line in rep.counterexamples:
             assert find_mono_berge(coloring_from_digits(p, line)).verdict == "not-found"
 
-    def test_sweep_makes_a_coloring_only_for_a_found_cycle(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The argument tuples of every `Coloring` the harness builds."""
         built = []
 
         def counted(*args):
@@ -298,8 +304,40 @@ class TestExhaustiveVerify:
             return Coloring(*args)
 
         monkeypatch.setattr(harness, "Coloring", counted)
+        return built
+
+    def test_sweep_makes_a_coloring_only_for_a_found_cycle(self, built):
+        # each of the 3 successes is a leaf of the prefix tree
         rep = exhaustive_verify(HyperParams(5, 4, 3))
         assert rep.success == len(built) == 3
+
+    def test_success_subtrees_counted_in_bulk(self, built):
+        # one coloring per success subtree checks the subtree's cycle
+        rep = exhaustive_verify(HyperParams(6, 4, 2))
+        assert (rep.success, rep.failure) == (32768, 0)
+        assert len(built) < rep.success // 20
+
+    def test_7_5_2_counts(self):
+        # 2^21 colorings, all with a cycle; a plain sweep takes about a minute
+        rep = exhaustive_verify(HyperParams(7, 5, 2))
+        assert (rep.total, rep.success, rep.failure) == (2097152, 2097152, 0)
+
+    @pytest.mark.parametrize("shape", [(12, 3, 1), (30, 4, 1)])
+    def test_one_coloring_decided_directly(self, shape):
+        # a prefix tree over one coloring's edges enumerated cores
+        # factorially on sparse prefixes
+        start = time.perf_counter()
+        rep = exhaustive_verify(HyperParams(*shape))
+        assert (rep.total, rep.success, rep.failure) == (1, 1, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_coloring_shards_match_one_shard(self):
+        p = HyperParams(5, 4, 3)
+        one = exhaustive_verify(p).to_json()
+        each = exhaustive_verify(p, shards=243).to_json()
+        assert each["shard_ranges"] == [[m, m + 1] for m in range(243)]
+        del one["shard_ranges"], each["shard_ranges"]
+        assert each == one
 
     def test_shard_invariance_small(self):
         p = HyperParams(4, 3, 2)
@@ -339,12 +377,22 @@ class TestExhaustiveVerify:
         assert naive_oracle(coloring_from_digits(p2, failing)).verdict == "not-found"
         assert naive_oracle(coloring_from_digits(p3, failing)).verdict == "not-found"
 
-    @pytest.mark.parametrize("shape", [(4, 3, 2), (5, 4, 2), (5, 4, 3)])
+    @pytest.mark.parametrize(
+        "shape", [(4, 3, 2), (5, 4, 2), (5, 4, 3), (6, 4, 2), (5, 3, 2), (6, 5, 2), (5, 3, 3)]
+    )
     @pytest.mark.parametrize("shards", [1, 3])
     def test_counter_order_matches_a_divmod_decoder(self, shape, shards):
         p = HyperParams(*shape)
         success, failures = decoded_sweep(p)
         rep = exhaustive_verify(p, shards=shards)
+        assert (rep.success, rep.failure) == (success, len(failures))
+        assert rep.counterexamples == failures[: rep.MAX_STORED]
+
+    def test_pooled_sweep_matches_the_divmod_decoder(self):
+        # shard bounds at 10922 and 21845 cut success subtrees
+        p = HyperParams(6, 4, 2)
+        success, failures = decoded_sweep(p)
+        rep = exhaustive_verify(p, shards=3, workers=2)
         assert (rep.success, rep.failure) == (success, len(failures))
         assert rep.counterexamples == failures[: rep.MAX_STORED]
 

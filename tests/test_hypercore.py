@@ -178,6 +178,7 @@ INDEX_ENTRIES = {
     "pair_supersets": (lambda x: pair_supersets(x, 2, P532), -1),
     "color_of": (lambda x: C532.color_of(x), 10),
     "pair_edges": (lambda x: pair_edges(C532, x), 3),
+    "class_members": (lambda x: C532.class_members(x), 0),
 }
 OUT_OF_RANGE = object()  # stands for the entry's own out-of-range value
 
@@ -198,6 +199,7 @@ def test_index_entries_keep_their_integer_results():
     assert unrank_edge(np.uint8(9), P532) == unrank_edge(9, P532) == (2, 3, 4)
     assert pair_supersets(np.int32(1), 2, P532) == pair_supersets(1, 2, P532) == [0, 3, 6]
     assert C532.color_of(np.int64(3)) == C532.color_of(3) == 2
+    assert C532.class_members(np.int64(2))[0].tolist() == [1, 3, 5, 7, 9]
 
 
 class TestMemberTable:
