@@ -450,21 +450,14 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
         for m in range(a, min(b, a + ExhaustReport.MAX_STORED - len(examples))):
             examples.append(" ".join(map(str, _digits(m, count, k))))
 
-    def edge_mask(found) -> int:
-        return 0 if found is None else sum(1 << e for e in found[1])
-
     owned = [0] * k  # per color (0-based): the edges of the prefix it holds
-    full = (1 << count) - 1
 
-    def walk(j: int, base: int, witness: list[int]) -> None:
+    def walk(j: int, base: int) -> None:
         """Give edge j each color under the prefix of edges 0..j-1 held in
-        `owned`, whose subtree starts at counter `base`.  witness[d] holds
-        the edges of a cycle on color d's edges plus edges j.., or 0 when
-        there is none."""
+        `owned`, whose subtree starts at counter `base`."""
         nonlocal success
         size = k ** (count - j - 1)
         bit = 1 << j
-        rest = full >> (j + 1) << (j + 1)  # the edges after j
         for c in range(k):
             start = base + c * size
             a, b = max(start, lo), min(start + size, hi)
@@ -479,22 +472,15 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
                 if bad is not None:
                     raise RuntimeError(f"sweep produced an invalid cycle: {bad}")
                 success += b - a
-                continue
-            alive = list(witness)
-            for d, edges in enumerate(witness):
-                if d != c and edges & bit:
-                    alive[d] = edge_mask(_berge_cycle(n, r, owned[d] | rest))
-            if not any(alive):
+            elif j + 1 == count:
                 fail(a, b)
-                continue
-            if j + 1 == count:
-                raise RuntimeError("a color has a cycle at a leaf but was not counted")
-            owned[c] = mine
-            walk(j + 1, start, alive)
-            owned[c] = mine ^ bit
+            else:
+                owned[c] = mine
+                walk(j + 1, start)
+                owned[c] = mine ^ bit
 
     if hi - lo > 1:
-        walk(0, 0, [edge_mask(_berge_cycle(n, r, full))] * k)
+        walk(0, 0)
     elif _decide_exact(params, _digits(lo, count, k)).verdict == "found":
         success = 1
     else:
@@ -523,17 +509,16 @@ def exhaustive_verify(
     Each shard walks the prefix tree over its counter range: the colorings
     that share the colors of edges 0..j-1 form one contiguous range, and the
     node's children, edge j colored 1..k, follow in counter order.  The exact
-    decider `_berge_cycle` settles whole subtrees.  When edge j's color c
-    closes a c-cycle among the edges colored so far (it must use edge j),
-    every completion succeeds: the subtree's colorings in range are counted
-    and the cycle is verified once, on the first of them.  A color is alive
-    while it has a cycle on its edges plus every edge not yet colored; one
-    witness cycle is kept per alive color and rechecked only when another
-    color takes one of its edges.  When no color is alive every completion
-    fails, and the failures are kept in counter order.  A leaf is always
-    settled one way or the other.  A shard of a single coloring, so every
-    k = 1 sweep, is decided directly by `naive_oracle`'s decider: a tree over
-    one coloring's edges would try every core of each sparse prefix.
+    decider `_berge_cycle` settles success subtrees.  When edge j's color c
+    closes a c-cycle among the edges colored so far (it must use edge j,
+    since the parent node had no c-cycle), every completion succeeds: the
+    subtree's colorings in range are counted and the cycle is verified once,
+    on the first of them.  Otherwise the walk goes on to edge j + 1, so a
+    coloring reached as a leaf has no monochromatic cycle and fails; the
+    failures are kept in counter order.  A shard of a single coloring, so
+    every k = 1 sweep, is decided directly by `naive_oracle`'s decider: a
+    walk would call the decider on every prefix of that coloring's edges
+    (about 1 s at (12,3,1), against 1 ms) and recurse once per edge.
     """
     edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
     # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power

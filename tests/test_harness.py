@@ -1,5 +1,4 @@
 import random
-import time
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -323,13 +322,20 @@ class TestExhaustiveVerify:
         assert (rep.total, rep.success, rep.failure) == (2097152, 2097152, 0)
 
     @pytest.mark.parametrize("shape", [(12, 3, 1), (30, 4, 1)])
-    def test_one_coloring_decided_directly(self, shape):
-        # a prefix tree over one coloring's edges enumerated cores
-        # factorially on sparse prefixes
-        start = time.perf_counter()
+    def test_one_coloring_decided_directly(self, shape, monkeypatch):
+        # a walk would call the decider on every prefix of the coloring's
+        # edges and recurse once per edge: the range takes one direct
+        # decision, whose one color is one decider call, and no walk
+        calls = {"_decide_exact": 0, "_berge_cycle": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(harness, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, spy)
         rep = exhaustive_verify(HyperParams(*shape))
         assert (rep.total, rep.success, rep.failure) == (1, 1, 0)
-        assert time.perf_counter() - start < 1.0
+        assert calls == {"_decide_exact": 1, "_berge_cycle": 1}
 
     def test_one_coloring_shards_match_one_shard(self):
         p = HyperParams(5, 4, 3)
