@@ -1,17 +1,7 @@
-"""Good colors, U-bar sets, degree partitions, and avoidance on the shadow graph."""
+"""Good colors, U-bar sets, bad-pair graphs, and avoidance on the shadow graph."""
 
-import json
-
-from bergeham import (
-    ColorProfile,
-    avoids,
-    bad_edge_graph,
-    find_avoiding_set,
-    minimal_breaking_subgraph,
-    partition_trq,
-    u_sets,
-)
-from bergeham import Coloring, Graph, HyperParams
+from bergeham import ColorProfile, avoids, bad_edge_graph
+from bergeham import Coloring, HyperParams
 from bergeham.hypercore import iter_colex_edges
 
 # Color K_7^3 with two colors: everything through vertex 0 is color 2,
@@ -27,29 +17,15 @@ print("L*(0,1):", profile.good_colors(0, 1))
 print("L*(1,2):", profile.good_colors(1, 2))
 print("color degrees at 0:", [profile.color_degree(0, i) for i in (1, 2)])
 
-# U_i(x) collects the partners where color i is good, Ubar_i(x) the rest.
-U, Ub = u_sets(1, [2], profile)
-print("U_2(1):", sorted(U), "| Ubar_2(1):", sorted(Ub))
+# Ubar_i(x) collects the partners of x for which color i is not good.
+print("Ubar_2(1):", sorted(profile.ubar_set(1, 2)))
 
 # W_i is the graph of pairs where color i is NOT good; the star structure of
 # the coloring is visible in it.
 w1 = bad_edge_graph(1, profile)
 print("bad pairs for color 1:", sorted(w1.edges()))
 
-# T/R/Q split of an auxiliary graph by degree: isolated, >= (n-1)/2, the rest.
-print("partition of W_1:", json.dumps(partition_trq(w1).to_json()))
-
 # A vertex set avoids a color set when each color is blocked by a low-degree
 # member or an internal bad pair.
 print("does {0} avoid {1}?", avoids([0], [1], profile, d_bound=0))
 print("does {1,2} avoid {2}?", avoids([1, 2], [2], profile, d_bound=0))
-print("greedy avoiding set for {2}:", find_avoiding_set([2], profile, d_bound=0))
-
-# The smallest set of bad pairs whose removal from the complete shadow graph
-# kills Hamiltonicity, found by increasing-size enumeration with the exact
-# finder as the oracle.
-small = ColorProfile(Coloring(HyperParams(5, 3, 2), [1] * 10), good_threshold=2)
-S, gi, gic = minimal_breaking_subgraph(2, small)
-print("\nminimum breaking set in K_5 (all pairs bad for color 2):", sorted(S))
-print("degree-sum bound inside the breaking graph:",
-      [(u, v, gi.degree(u) + gi.degree(v)) for u, v in sorted(S)])

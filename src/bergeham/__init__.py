@@ -55,7 +55,6 @@ from .hypercore import (
     HyperParams,
     Violation,
     edge_members,
-    pair_edges,
     pair_supersets,
     rank_edge,
     unrank_edge,
@@ -63,15 +62,9 @@ from .hypercore import (
 )
 from .shadow import (
     ColorProfile,
-    PartitionTRQ,
     avoids,
     bad_edge_graph,
-    color_degree,
     default_degree_bound,
-    find_avoiding_set,
-    minimal_breaking_subgraph,
-    partition_trq,
-    u_sets,
 )
 
 __version__ = "0.1.0"

@@ -8,10 +8,10 @@ cycle closes, which decides Hamiltonicity.  The matcher, `_BudgetedSDR`, also
 runs a look-ahead, described there.  It falls back to the constructive
 pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
-plus brute-force SDR over pools read from its own cached pair table, no graph
-machinery, in `_berge_cycle`), and `exhaustive_verify` sweeps an entire
-coloring space with the same decider, deciding whole subtrees of colorings
-at once.
+plus brute-force SDR over pools read from its own cached per-vertex edge
+bitmasks, no graph machinery, in `_berge_cycle`), and `exhaustive_verify`
+sweeps an entire coloring space with the same decider, deciding whole
+subtrees of colorings at once.
 
 Budgets are node expansions plus matching augmentations; wall clock never
 influences a verdict.
@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, islice, permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -40,6 +40,7 @@ from .hypercore import (
     BergeCycle,
     Coloring,
     HyperParams,
+    _check_args,
     _check_int,
     _class_pair_lists,
     edge_members,
@@ -86,9 +87,9 @@ class SearchReport:
 
 def paper_threshold(r: int) -> int:
     """The vertex-count threshold 6*r*C(4r, r-1) above which the headline
-    guarantee applies."""
-    if r < 2:
-        raise ValueError("uniformity must be at least 2")
+    guarantee applies.  An r that is not an integer of at least 2, or whose
+    threshold passes the 64-bit range, raises ValueError."""
+    _check_int("uniformity", r, 2)
     value = 6 * r * comb(4 * r, r - 1)
     if value >= 2**63:
         raise ValueError(f"threshold for r={r} exceeds the 64-bit range")
@@ -119,21 +120,6 @@ def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
 
 
 @lru_cache(maxsize=8)
-def _pair_table(n: int, r: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each pair u < v of [0, n) -> the ascending colex indices of every
-    r-subset that holds it, read off `iter_colex_edges`.  Only the exact
-    decider builds it (`naive_oracle` and the sweeps); the search and the
-    constructive pipeline never do."""
-    table: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in combinations(range(n), 2)
-    }
-    for t, edge in enumerate(iter_colex_edges(n, r)):
-        for pair in combinations(edge, 2):
-            table[pair].append(t)
-    return {pair: tuple(edges) for pair, edges in table.items()}
-
-
-@lru_cache(maxsize=8)
 def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
     """Entry x has bit t set when vertex x lies in the colex-rank-t edge."""
     members = edge_members(n, r)
@@ -158,17 +144,17 @@ def _berge_cycle(
     It refuses at once when fewer than n edges are allowed or some vertex
     lies in fewer than two of them.  Otherwise it tries every core up to
     rotation/reflection, in permutation order, with brute-force distinct
-    representatives.  A pair's pool, its ascending allowed edges, is filled
-    from the cached pair table the first time a core needs it.  A `needed`
-    edge skips every core with no pool holding it; pass one only when every
-    cycle on `allowed` is known to use that edge."""
+    representatives.  A pair's pool, its ascending allowed edges, is read
+    off the cached per-vertex edge bitmasks the first time a core needs it.
+    A `needed` edge skips every core with no pool holding it; pass one only
+    when every cycle on `allowed` is known to use that edge."""
     if allowed.bit_count() < n:
         return None
-    for mask in _vertex_masks(n, r):
+    vm = _vertex_masks(n, r)
+    for mask in vm:
         mask &= allowed
         if not mask & (mask - 1):
             return None
-    table = _pair_table(n, r)
     filled: dict[tuple[int, int], list[int]] = {}
     for perm in permutations(range(1, n)):
         if n > 2 and perm[0] > perm[-1]:
@@ -179,7 +165,12 @@ def _berge_cycle(
             pair = (a, b) if a < b else (b, a)
             pool = filled.get(pair)
             if pool is None:
-                pool = filled[pair] = [e for e in table[pair] if allowed >> e & 1]
+                pool = filled[pair] = []
+                m = vm[a] & vm[b] & allowed
+                while m:
+                    low = m & -m
+                    pool.append(low.bit_length() - 1)
+                    m ^= low
             if not pool:
                 break
             pools.append(pool)
@@ -345,8 +336,10 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     spent no further color starts; each is parked.  After the last check come
     at most one accepted push and the node it opens, so `work_units` is at
     most budget + 2.  Under a tight budget the verdict can depend on how the
-    colors are numbered.
+    colors are numbered.  A budget that is not an integer of at least 0
+    raises ValueError.
     """
+    _check_int("budget", budget, 0)
     p = coloring.params
     n = p.n
     sizes = coloring.class_sizes()
@@ -576,8 +569,7 @@ def gen_coloring(
             raise ValueError("vertex-partition needs one class id per vertex")
         # checked here: vertices n-r+1..n-1 are no edge's minimum, so a bad
         # class id there never reaches Coloring
-        if any(not 1 <= c <= params.k for c in classes):
-            raise ValueError("class ids must be valid colors")
+        _check_args(params, colors=classes)
         cols = [classes[e[0]] for e in iter_colex_edges(params.n, params.r)]
         return Coloring(params, cols)
     if scheme == "digits":

@@ -198,18 +198,12 @@ class Coloring:
         return f"Coloring(n={p.n}, r={p.r}, k={p.k})"
 
 
-def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
-    """Map each vertex pair (u, v), u < v, to the ascending edges of one color
-    class that contain it."""
-    edges, rows = coloring.class_members(color)
-    return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())
-
-
 def _class_pair_lists(
     n: int, edges: list[int], rows: list[list[int]]
 ) -> dict[tuple[int, int], list[int]]:
-    """`pair_edges` from a color class already gathered: its ascending edge
-    indices and their member rows."""
+    """Map each vertex pair (u, v), u < v, of [0, n) to the ascending edges of
+    one color class that contain it, given the class's ascending edge indices
+    and their member rows."""
     lists: dict[tuple[int, int], list[int]] = {
         pair: [] for pair in combinations(range(n), 2)
     }

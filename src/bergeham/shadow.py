@@ -3,9 +3,8 @@
 For an edge-colored K_n^r the shadow graph is the complete graph on the same
 vertices.  Each vertex pair carries the list of colors of hyperedges through
 it; a color is *good* for the pair when at least `good_threshold` such
-hyperedges have that color.  On top of that sit color degrees, the U/U-bar
-vertex splits, avoidance sets, the bad-pair graphs W_i, and the
-isolated / high-degree / middle partition of an auxiliary graph.
+hyperedges have that color.  On top of that sit color degrees, the U-bar
+sets, avoidance sets and the bad-pair graphs W_i.
 
 The good threshold defaults to r-1 and the avoidance degree bound to
 C(4r, r-1); both are parameters because those values swamp every statistic at
@@ -14,7 +13,6 @@ small n and experiments need smaller ones to reach the nontrivial branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
@@ -22,8 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graphs import Graph
-from .hamilton import find_hamiltonian_cycle
-from .hypercore import Coloring, _check_args, _check_int, edge_members, iter_colex_edges
+from .hypercore import Coloring, _check_args, _check_int, edge_members
 
 
 def default_degree_bound(r: int) -> int:
@@ -90,40 +87,6 @@ class ColorProfile:
         return self.params.n - 1 - int(np.count_nonzero(self._good[x, :, i - 1]))
 
 
-def color_degree(x: int, i: int, coloring: Coloring) -> int:
-    """Count color-i hyperedges containing x, straight from the coloring."""
-    p = coloring.params
-    _check_args(p, (x,), (i,))
-    count = 0
-    for t, e in enumerate(iter_colex_edges(p.n, p.r)):
-        if x in e and coloring.colors[t] == i:
-            count += 1
-    return count
-
-
-def u_sets(
-    x: int, I: Iterable[int], profile: ColorProfile
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(U_I(x), Ubar_I(x)): vertices where every color of I is good / none is.
-
-    For a single color the two sets partition the other vertices; for larger I
-    they are intersections and need not cover everything.
-    """
-    I = list(I)
-    _check_args(profile.params, (x,), I)
-    if not I:
-        raise ValueError("color set I must be nonempty")
-    good = profile._good[x][:, [i - 1 for i in I]]
-    u_acc = good.all(axis=1)
-    ub_acc = ~good.any(axis=1)
-    u_acc[x] = False
-    ub_acc[x] = False
-    return (
-        frozenset(int(y) for y in np.flatnonzero(u_acc)),
-        frozenset(int(y) for y in np.flatnonzero(ub_acc)),
-    )
-
-
 def avoids(
     S: Iterable[int],
     W: Iterable[int],
@@ -153,21 +116,21 @@ def _greedy_avoiding(
     P: Iterable[int],
     profile: ColorProfile,
     d_bound: int,
-    forbidden: frozenset[int] = frozenset(),
-    pad_to: Optional[int] = None,
+    forbidden: frozenset[int],
+    pad_to: int,
 ) -> Optional[list[int]]:
     """Greedy avoidance-set construction; best effort, smallest vertices first.
 
     Covers colors in ascending order via a low-degree vertex, then a bad-pair
     completion against the current set, then (budget permitting) a fresh bad
-    pair.  Returns None when some color cannot be covered.  With pad_to the
-    result is padded to that exact size; avoidance is monotone under adding
-    vertices, so padding is safe.
+    pair, never using a vertex of `forbidden`.  Returns None when some color
+    cannot be covered within pad_to vertices.  The result is padded to exactly
+    pad_to vertices; avoidance is monotone under adding vertices, so padding
+    is safe.
     """
     P = sorted(set(P))
     n = profile.params.n
     S: list[int] = []
-    limit = (pad_to if pad_to is not None else len(P) + 1) or 0
 
     def usable(v):
         return v not in forbidden and v not in S
@@ -194,7 +157,7 @@ def _greedy_avoiding(
                 None,
             )
         if pick is not None:
-            if len(S) + 1 > limit:
+            if len(S) + 1 > pad_to:
                 return None
             S.append(pick)
             continue
@@ -206,68 +169,17 @@ def _greedy_avoiding(
             ),
             None,
         )
-        if fresh is None or len(S) + 2 > limit:
+        if fresh is None or len(S) + 2 > pad_to:
             return None
         S.extend(fresh)
-    if pad_to is not None:
-        for v in range(n):
-            if len(S) >= pad_to:
-                break
-            if usable(v):
-                S.append(v)
-        if len(S) != pad_to:
-            return None
-    return S
-
-
-def find_avoiding_set(
-    P: Iterable[int], profile: ColorProfile, d_bound: Optional[int] = None
-) -> Optional[frozenset[int]]:
-    """Best-effort search for a vertex set of size <= |P|+1 avoiding P.
-
-    The existence guarantee behind this shape of set only holds under a global
-    hypothesis that small instances need not satisfy, so absence here carries
-    no structural meaning.
-    """
-    P = set(P)
-    if d_bound is None:
-        d_bound = default_degree_bound(profile.params.r)
-    got = _greedy_avoiding(P, profile, d_bound)
-    return None if got is None else frozenset(got)
-
-
-@dataclass(frozen=True)
-class PartitionTRQ:
-    """Isolated vertices (T), degree >= (n-1)/2 vertices (R), and the rest (Q)."""
-
-    T: frozenset[int]
-    R: frozenset[int]
-    Q: frozenset[int]
-
-    def to_json(self) -> dict:
-        return {
-            "T": sorted(self.T),
-            "R": sorted(self.R),
-            "Q": sorted(self.Q),
-        }
-
-
-def partition_trq(g: Graph) -> PartitionTRQ:
-    """Split vertices by degree in g: zero / at least (n-1)/2 / in between.
-
-    The threshold comparison is exact integer arithmetic: 2*deg >= n-1.
-    """
-    n = g.n
-    T, R, Q = [], [], []
     for v in range(n):
-        d = g.degree(v)
-        if d == 0:
-            T.append(v)
-        elif 2 * d >= n - 1:
-            R.append(v)
-        else:
-            Q.append(v)
-    return PartitionTRQ(frozenset(T), frozenset(R), frozenset(Q))
+        if len(S) >= pad_to:
+            break
+        if usable(v):
+            S.append(v)
+    if len(S) != pad_to:
+        return None
+    return S
 
 
 def bad_edge_graph(i: int, profile: ColorProfile) -> Graph:
@@ -277,47 +189,3 @@ def bad_edge_graph(i: int, profile: ColorProfile) -> Graph:
     # pairs u < v only: the diagonal is never good, so it would read as bad
     bad = np.triu(~profile._good[:, :, i - 1], 1)
     return Graph(p.n, np.argwhere(bad).tolist())
-
-
-def minimal_breaking_subgraph(
-    i: int, profile: ColorProfile, budget: int = 200_000
-) -> Optional[tuple[frozenset[tuple[int, int]], Graph, Graph]]:
-    """Minimum S_i inside W_i whose removal from K_n kills Hamiltonicity.
-
-    Precondition (checked): removing all of W_i already gives a
-    non-Hamiltonian spanning subgraph.  Subsets are enumerated by increasing
-    size in lexicographic order, so the result is the lexicographically
-    smallest minimum set; `budget` caps the number of subsets tested and
-    exceeding it returns None.
-
-    Returns (S_i, G_i, G_i_complement) where G_i is spanned by S_i and the
-    complement by the remaining shadow edges.  The minimum set provably
-    satisfies deg(x) + deg(y) >= n-1 in G_i for each of its edges; that is
-    re-checked here.
-    """
-    n = profile.params.n
-    bad = sorted(bad_edge_graph(i, profile).edges())
-    complete = Graph.complete(n)
-    base = complete.without_edges(bad)
-    if find_hamiltonian_cycle(base) is not None:
-        raise ValueError(
-            "removing all bad pairs leaves a Hamiltonian spanning subgraph; "
-            "minimal breaking set is undefined"
-        )
-    tested = 0
-    for size in range(len(bad) + 1):
-        for S in combinations(bad, size):
-            tested += 1
-            if tested > budget:
-                return None
-            g = complete.without_edges(S)
-            if find_hamiltonian_cycle(g) is None:
-                gi = Graph(n, S)
-                for u, v in S:
-                    if gi.degree(u) + gi.degree(v) < n - 1:
-                        raise RuntimeError(
-                            "minimum breaking set violates the adjacent "
-                            "degree-sum bound; enumeration is broken"
-                        )
-                return frozenset(S), gi, g
-    raise AssertionError("unreachable: the full bad set satisfies the precondition")

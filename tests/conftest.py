@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from bergeham import Graph
+from bergeham import Coloring, Graph
+from bergeham.hypercore import _check_args, _class_pair_lists, iter_colex_edges
 
 
 PETERSEN_EDGES = [
@@ -29,3 +30,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def color_degree(x: int, i: int, coloring: Coloring) -> int:
+    """Count color-i hyperedges containing x, straight from the coloring."""
+    p = coloring.params
+    _check_args(p, (x,), (i,))
+    count = 0
+    for t, e in enumerate(iter_colex_edges(p.n, p.r)):
+        if x in e and coloring.colors[t] == i:
+            count += 1
+    return count
+
+
+def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
+    """Map each vertex pair (u, v), u < v, to the ascending edges of one color
+    class that contain it."""
+    edges, rows = coloring.class_members(color)
+    return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())

@@ -123,12 +123,15 @@ def test_error_paths_exit_2(tmp_path, capsys):
     garbled.write_text("5 3\n1 1\n")
     too_big = tmp_path / "too_big.txt"
     too_big.write_text("4 3 2\n1 300 1 1\n")
+    square = tmp_path / "square.txt"
+    square.write_text("4 3 1\n1 1 1 1\n")
     out = tmp_path / "gen.txt"
     gen = ("gen", "--n", "5", "--r", "3", "--k", "2", "--out", str(out))
     for argv in [
         ("search", str(missing)),
         ("search", str(garbled)),
         ("search", str(too_big)),
+        ("search", str(square), "--budget", "-5"),
         gen + ("--scheme", "uniform", "--color", "9"),
         gen + ("--scheme", "digits", "--digits", "39"),
     ]:

@@ -17,9 +17,8 @@ from bergeham import (
 from bergeham.extend import PrefixSDR, distinct_representatives
 from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.harness import _sdr_search
-from bergeham.hypercore import pair_edges
 
-from conftest import NON_INTEGER_IDS, NON_INTEGERS
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, pair_edges
 from test_construct import PINNED_CYCLES
 
 

@@ -3,6 +3,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 
 from bergeham import (
@@ -18,8 +19,8 @@ from bergeham import (
 from bergeham import harness
 from bergeham.fixtures import case1_fixture
 from bergeham.harness import SearchReport
-from bergeham.hypercore import BergeCycle, iter_colex_edges, pair_edges, pair_supersets
-from conftest import NON_INTEGER_IDS, NON_INTEGERS
+from bergeham.hypercore import BergeCycle, iter_colex_edges, pair_supersets
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, pair_edges
 from test_differential import DRAWN_SPACES, SPACES
 
 
@@ -73,8 +74,8 @@ def dict_sdr(pools):
 
 
 def pair_edges_decide(coloring):
-    """The exact decider as it was before it read a cached pair table: the
-    pools of each color come from `pair_edges`, built whole per color."""
+    """An exact decider whose pools come from `pair_edges`, built whole per
+    color, not from the cached per-vertex edge bitmasks."""
     p = coloring.params
     n = p.n
     sizes = coloring.class_sizes()
@@ -131,6 +132,11 @@ class TestPaperThreshold:
     def test_rejects_overflow(self):
         with pytest.raises(ValueError):
             paper_threshold(40)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            paper_threshold(bad)
 
 
 class TestFindMonoBerge:
@@ -196,6 +202,14 @@ class TestFindMonoBerge:
         assert report.verdict == "undecided"
         assert report.stages["constructive"] == "unavailable"
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [-1], ids=NON_INTEGER_IDS + ["-1"])
+    def test_rejects_a_bad_budget(self, bad):
+        coloring = gen_coloring(HyperParams(7, 3, 2), "random", seed=1)
+        with pytest.raises(ValueError):
+            find_mono_berge(coloring, budget=bad)
+        zero = find_mono_berge(coloring, budget=0).to_json()
+        assert find_mono_berge(coloring, budget=np.int64(0)).to_json() == zero
+
     @pytest.mark.parametrize("pin", PINNED_10_3_12, ids=lambda pin: f"seed{pin[0]}")
     def test_pinned_reports(self, pin):
         seed, verdict, color, core, edges, nodes, aug = pin
@@ -251,13 +265,19 @@ class TestNaiveOracle:
         assert not_found >= 20
 
     @pytest.mark.parametrize("n, r", [(5, 3), (6, 4), (7, 3), (8, 4)])
-    def test_pair_table_lists_every_edge_on_each_pair(self, n, r):
+    def test_vertex_masks_mark_every_edge_on_each_vertex(self, n, r):
         p = HyperParams(n, r)
-        table = harness._pair_table(n, r)
-        assert sorted(table) == list(combinations(range(n), 2))
-        for (u, v), edges in table.items():
-            assert list(edges) == pair_supersets(u, v, p)
-        assert harness._pair_table(n, r) is table
+        vm = harness._vertex_masks(n, r)
+        expect = [0] * n
+        for t, edge in enumerate(iter_colex_edges(n, r)):
+            for x in edge:
+                expect[x] |= 1 << t
+        assert vm == tuple(expect)
+        # a pair's pool is the set bits of both masks, low to high
+        for u, v in combinations(range(n), 2):
+            both = vm[u] & vm[v]
+            assert [t for t in range(p.edge_count) if both >> t & 1] == pair_supersets(u, v, p)
+        assert harness._vertex_masks(n, r) is vm
 
     def test_agreement_with_search(self):
         rng = random.Random(79)
@@ -492,3 +512,8 @@ class TestGenColoring:
             gen_coloring(p, "vertex-partition", classes=[1, 1, 1, 1, 3])
         with pytest.raises(ValueError):
             gen_coloring(p, "vertex-partition", classes=[1, 1])
+        with pytest.raises(ValueError):
+            gen_coloring(p, "vertex-partition", classes=[1, True, 2, 1, 2])
+        for bad in NON_INTEGERS:
+            with pytest.raises(ValueError):
+                gen_coloring(p, "vertex-partition", classes=[1, 1, 1, 1, bad])

@@ -18,9 +18,9 @@ from bergeham import (
     unrank_edge,
     verify_berge_cycle,
 )
-from bergeham.hypercore import edge_members, iter_colex_edges, pair_edges
+from bergeham.hypercore import edge_members, iter_colex_edges
 
-from conftest import NON_INTEGER_IDS, NON_INTEGERS
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, pair_edges
 
 
 def colex_less(a, b):
@@ -177,7 +177,6 @@ INDEX_ENTRIES = {
     "unrank_edge": (lambda x: unrank_edge(x, P532), 10),
     "pair_supersets": (lambda x: pair_supersets(x, 2, P532), -1),
     "color_of": (lambda x: C532.color_of(x), 10),
-    "pair_edges": (lambda x: pair_edges(C532, x), 3),
     "class_members": (lambda x: C532.class_members(x), 0),
 }
 OUT_OF_RANGE = object()  # stands for the entry's own out-of-range value

@@ -17,7 +17,8 @@ from bergeham import Coloring, Graph, HyperParams, find_mono_berge, gen_coloring
 from bergeham import harness
 from bergeham.extend import PrefixSDR, build_candidates, extend_matching
 from bergeham.hamilton import iter_hamiltonian_cycles
-from bergeham.hypercore import iter_colex_edges, pair_edges
+from bergeham.hypercore import iter_colex_edges
+from conftest import pair_edges
 
 from test_differential import SPACES
 

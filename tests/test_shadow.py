@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -9,21 +8,14 @@ import pytest
 
 from bergeham import (
     Coloring,
-    Graph,
     HyperParams,
     avoids,
     bad_edge_graph,
-    color_degree,
-    find_avoiding_set,
-    find_hamiltonian_cycle,
     gen_coloring,
-    minimal_breaking_subgraph,
-    partition_trq,
-    u_sets,
 )
 from bergeham.hypercore import iter_colex_edges, rank_edge
-from bergeham.shadow import ColorProfile, default_degree_bound
-from conftest import NON_INTEGER_IDS, NON_INTEGERS
+from bergeham.shadow import ColorProfile, _greedy_avoiding, default_degree_bound
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, color_degree
 
 
 def uniform(n, r, k=2, color=1):
@@ -150,9 +142,6 @@ BAD_QUERIES = {
     "ubar_size-vertex-negative": lambda p: p.ubar_size(-1, 1),
     "ubar_size-color-k+1": lambda p: p.ubar_size(0, 4),
     "color_degree-vertex-negative": lambda p: p.color_degree(-1, 1),
-    "u_sets-color-0": lambda p: u_sets(0, [1, 0], p),
-    "u_sets-vertex-negative": lambda p: u_sets(-1, [1], p),
-    "u_sets-vertex-n": lambda p: u_sets(7, [2], p),
 }
 # a bool would read as a numpy mask and a float as numpy's IndexError
 for bad, name in zip(NON_INTEGERS, NON_INTEGER_IDS):
@@ -163,7 +152,6 @@ for bad, name in zip(NON_INTEGERS, NON_INTEGER_IDS):
         f"ubar_set-vertex-{name}": lambda p, bad=bad: p.ubar_set(bad, 2),
         f"ubar_size-color-{name}": lambda p, bad=bad: p.ubar_size(0, bad),
         f"color_degree-color-{name}": lambda p, bad=bad: p.color_degree(0, bad),
-        f"u_sets-color-{name}": lambda p, bad=bad: u_sets(0, [1, bad], p),
         f"bad_edge_graph-color-{name}": lambda p, bad=bad: bad_edge_graph(bad, p),
     })
 
@@ -173,40 +161,6 @@ def test_profile_queries_reject_bad_vertex_or_color(query):
     # a negative vertex or color would otherwise index from the end of the table
     with pytest.raises(ValueError):
         query(ColorProfile(RANGE_COLORING))
-
-
-class TestUSets:
-    def test_uniform_single_color(self):
-        prof = ColorProfile(uniform(6, 3), good_threshold=2)
-        U, Ub = u_sets(0, [1], prof)
-        assert U == frozenset(range(1, 6))
-        assert Ub == frozenset()
-        U, Ub = u_sets(0, [2], prof)
-        assert U == frozenset()
-        assert Ub == frozenset(range(1, 6))
-
-    def test_intersection_semantics(self):
-        prof = ColorProfile(uniform(6, 3), good_threshold=2)
-        U, Ub = u_sets(0, [1, 2], prof)
-        assert U == frozenset()  # color 2 is never good
-        assert Ub == frozenset()  # color 1 is always good
-
-    def test_singleton_partitions(self):
-        rng = random.Random(3)
-        p = HyperParams(7, 3, 2)
-        for _ in range(10):
-            c = Coloring(p, [rng.randint(1, 2) for _ in range(p.edge_count)])
-            prof = ColorProfile(c)
-            for x in range(7):
-                for i in (1, 2):
-                    U, Ub = u_sets(x, [i], prof)
-                    assert U | Ub == frozenset(set(range(7)) - {x})
-                    assert not U & Ub
-
-    def test_empty_color_set_rejected(self):
-        prof = ColorProfile(uniform(5, 3))
-        with pytest.raises(ValueError):
-            u_sets(0, [], prof)
 
 
 class TestAvoidance:
@@ -224,12 +178,13 @@ class TestAvoidance:
         assert not avoids([0], [1], prof, d_bound=3)  # d_1(0)=10 > 3, no pair
 
     def test_find_empty(self):
+        # nothing to cover: the set is padded with the smallest vertex
         prof = ColorProfile(uniform(6, 3, k=3))
-        assert find_avoiding_set([], prof) == frozenset()
+        assert _greedy_avoiding([], prof, default_degree_bound(3), frozenset(), 1) == [0]
 
     def test_find_single_vertex_suffices(self):
         prof = ColorProfile(uniform(6, 3, k=3))
-        got = find_avoiding_set([2, 3], prof)
+        got = _greedy_avoiding([2, 3], prof, default_degree_bound(3), frozenset(), 3)
         assert got is not None
         assert len(got) <= 3
         assert avoids(got, [2, 3], prof)
@@ -239,7 +194,7 @@ class TestAvoidance:
         # good on every pair, so nothing can avoid it -- greedy reports absent
         # and exhaustive search over small subsets agrees
         prof = ColorProfile(uniform(6, 3))
-        assert find_avoiding_set([1], prof, d_bound=0) is None
+        assert _greedy_avoiding([1], prof, 0, frozenset(), 2) is None
         n = prof.params.n
         for size in range(0, 3):  # |P|+1 = 2
             for S in combinations(range(n), size):
@@ -253,53 +208,10 @@ class TestAvoidance:
             prof = ColorProfile(c, good_threshold=1)
             P = sorted(rng.sample([1, 2, 3], rng.randint(1, 2)))
             bound = rng.choice([0, 1, default_degree_bound(3)])
-            got = find_avoiding_set(P, prof, d_bound=bound)
+            got = _greedy_avoiding(P, prof, bound, frozenset(), len(P) + 1)
             if got is not None:
                 assert len(got) <= len(P) + 1
                 assert avoids(got, P, prof, d_bound=bound)
-
-
-class TestPartitionTRQ:
-    def test_empty_graph(self):
-        part = partition_trq(Graph(5))
-        assert part.T == frozenset(range(5))
-        assert part.R == frozenset()
-        assert part.Q == frozenset()
-
-    def test_complete_graph(self):
-        part = partition_trq(Graph.complete(5))
-        assert part.R == frozenset(range(5))
-
-    def test_star(self):
-        part = partition_trq(Graph(5, [(0, i) for i in range(1, 5)]))
-        assert part.R == frozenset({0})
-        assert part.Q == frozenset({1, 2, 3, 4})
-        assert part.T == frozenset()
-
-    def test_threshold_is_exact_integer(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            n = rng.randint(3, 9)
-            g = Graph(
-                n,
-                [
-                    (u, v)
-                    for u, v in combinations(range(n), 2)
-                    if rng.random() < 0.4
-                ],
-            )
-            part = partition_trq(g)
-            assert part.T | part.R | part.Q == frozenset(range(n))
-            for v in part.T:
-                assert g.degree(v) == 0
-            for v in part.R:
-                assert 2 * g.degree(v) >= n - 1
-            for v in part.Q:
-                assert 0 < g.degree(v) and 2 * g.degree(v) < n - 1
-
-    def test_json_dump(self):
-        part = partition_trq(Graph(3, [(0, 1)]))
-        assert json.loads(json.dumps(part.to_json())) == part.to_json()
 
 
 class TestBadEdgeGraph:
@@ -325,42 +237,3 @@ class TestBadEdgeGraph:
             w = bad_edge_graph(i, prof)
             for u, v in combinations(range(6), 2):
                 assert w.has_edge(u, v) == (i not in prof.good_colors(u, v))
-
-
-class TestMinimalBreakingSubgraph:
-    def brute_minimum(self, n, bad_edges):
-        complete = Graph.complete(n)
-        for size in range(len(bad_edges) + 1):
-            for S in combinations(bad_edges, size):
-                if find_hamiltonian_cycle(complete.without_edges(S)) is None:
-                    return frozenset(S)
-        return None
-
-    def test_k5_all_bad(self):
-        prof = ColorProfile(uniform(5, 3), good_threshold=2)
-        got = minimal_breaking_subgraph(2, prof)
-        assert got is not None
-        S, gi, gic = got
-        assert S == self.brute_minimum(5, sorted(bad_edge_graph(2, prof).edges()))
-        assert len(S) == 3
-        assert S == frozenset({(0, 1), (0, 2), (0, 3)})
-        assert find_hamiltonian_cycle(gic) is None
-        for u, v in S:
-            assert gi.degree(u) + gi.degree(v) >= 4
-
-    def test_k4_all_bad(self):
-        prof = ColorProfile(uniform(4, 3), good_threshold=2)
-        got = minimal_breaking_subgraph(2, prof)
-        assert got is not None
-        S, _, _ = got
-        assert S == self.brute_minimum(4, sorted(bad_edge_graph(2, prof).edges()))
-        assert len(S) == 2
-
-    def test_precondition_failure(self):
-        prof = ColorProfile(uniform(5, 3), good_threshold=2)
-        with pytest.raises(ValueError):
-            minimal_breaking_subgraph(1, prof)  # W_1 empty, K_5 Hamiltonian
-
-    def test_budget_exhaustion_returns_none(self):
-        prof = ColorProfile(uniform(5, 3), good_threshold=2)
-        assert minimal_breaking_subgraph(2, prof, budget=2) is None
