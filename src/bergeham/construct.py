@@ -27,7 +27,7 @@ from .extend import build_candidates, distinct_representatives, extend_greedy_or
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
 from .hypercore import BergeCycle, Coloring, rank_edge, unrank_edge
-from .shadow import ColorProfile, _greedy_avoiding, avoids, default_degree_bound
+from .shadow import ColorProfile, _degree_bound, _greedy_avoiding, avoids
 
 GAMMA_NODE_BUDGET = 2_000_000
 
@@ -66,11 +66,11 @@ class Witness:
         return self.y[renamed - 1]
 
     def validate(self, profile: ColorProfile, d_bound: Optional[int] = None) -> None:
-        """Re-derive every witness invariant from the profile; raise on failure."""
+        """Re-derive every witness invariant from the profile; raise on failure.
+        A d_bound that is not an integer of at least 0 raises ValueError."""
         p = profile.params
         k, n = p.k, p.n
-        if d_bound is None:
-            d_bound = default_degree_bound(p.r)
+        d_bound = _degree_bound(d_bound, p.r)
         if sorted(self.color_perm) != list(range(1, k + 1)):
             raise ValueError("color_perm is not a permutation of the colors")
         if not 0 <= self.f <= p.r - 2:
@@ -106,14 +106,14 @@ def witness_search(
     Candidate x are tried by descending max_i |Ubar_i(x)| (ties by index), f
     from r-2 downward.  For each color split the avoidance set is built
     greedily and the remaining y_i come from a distinct-representatives
-    matching over the Ubar sets, so results are deterministic.
+    matching over the Ubar sets, so results are deterministic.  A d_bound
+    that is not an integer of at least 0 raises ValueError.
     """
     p = profile.params
     k, n = p.k, p.n
     if k != p.r - 1:
         raise ValueError("witness search needs the (r-1)-coloring setting k = r-1")
-    if d_bound is None:
-        d_bound = default_degree_bound(p.r)
+    d_bound = _degree_bound(d_bound, p.r)
     all_colors = list(range(1, k + 1))
     ubar = {
         x: [profile.ubar_size(x, i) for i in all_colors] for x in range(n)
@@ -488,7 +488,9 @@ def constructive_find(
     """Witness search, auxiliary graph, Hamiltonian cycle, then extension.
 
     Sound, not complete: a returned cycle always verifies, and a miss reports
-    the stage that failed.  Colors in the outcome are original ids.
+    the stage that failed.  Colors in the outcome are original ids.  A
+    d_bound that is not an integer of at least 0 raises ValueError, as
+    `witness_search` does.
     """
     p = coloring.params
     if p.k != p.r - 1:

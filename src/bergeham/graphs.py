@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .hypercore import _is_int
+from .hypercore import _check_int, _is_int
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -19,13 +19,15 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Undirected simple graph; adjacency stored as one int bitmask per vertex."""
+    """Undirected simple graph; adjacency stored as one int bitmask per vertex.
+
+    A vertex count that is not an integer of at least 0, or an edge that is
+    not a pair of distinct integer vertices in range, raises ValueError."""
 
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_int("vertex count", n, 0)
         adj = [0] * n
         for u, v in edges:
             # Python ints, the common case, skip the `_is_int` calls

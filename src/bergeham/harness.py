@@ -5,7 +5,9 @@ matter, it runs the Hamiltonian backtracker once on the pair-support graph
 with a prefix matcher hooked in, so the path and its distinct hyperedges grow
 together and a prefix with none is cut (Hall's theorem), or walked on until a
 cycle closes, which decides Hamiltonicity.  The matcher, `_BudgetedSDR`, also
-runs a look-ahead, described there.  It falls back to the constructive
+runs a look-ahead, described there.  A color's class is read once into
+per-vertex class-edge bitmasks, `_ClassPools`, which give the support graph,
+the matcher's pools and the look-ahead.  It falls back to the constructive
 pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
 plus brute-force SDR over pools read from its own cached per-vertex edge
@@ -23,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb
 from typing import Optional, Sequence
 
@@ -42,7 +44,6 @@ from .hypercore import (
     HyperParams,
     _check_args,
     _check_int,
-    _class_pair_lists,
     edge_members,
     iter_colex_edges,
     verify_berge_cycle,
@@ -217,20 +218,68 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     return _decide_exact(coloring.params, coloring.colors.tolist())
 
 
+_BLOCK = 1024  # class edges per block of `_ClassPools`' mask builder
+
+
+class _ClassPools(dict):
+    """One color class as per-vertex bitmasks, and the pools `PrefixSDR`
+    reads from them.
+
+    Bit j of vm[x] is set when vertex x lies in the j-th class edge, given
+    the class's ascending edge indices and their member rows (at least one).
+    The masks are built `_BLOCK` rows at a time on ints of at most `_BLOCK`
+    bits, and each vertex's blocks are joined as bytes, so the build is
+    linear in the class size.  Pair (u, v), u < v, maps to the ascending
+    class edges holding both: the set bits of vm[u] & vm[v], decoded on the
+    pair's first lookup."""
+
+    def __init__(self, n: int, edges: np.ndarray, rows: np.ndarray):
+        blocks = []  # per run of _BLOCK class edges, each vertex's mask of the run
+        for start in range(0, len(rows), _BLOCK):
+            block = [0] * n
+            bit = 1
+            for row in rows[start:start + _BLOCK].tolist():
+                for x in row:
+                    block[x] |= bit
+                bit <<= 1
+            blocks.append(block)
+        # one block is the masks; more are joined as bytes, lowest block first
+        width = _BLOCK // 8
+        self.vm = blocks[0] if len(blocks) == 1 else [
+            int.from_bytes(b"".join([m.to_bytes(width, "little") for m in masks]), "little")
+            for masks in zip(*blocks)
+        ]
+        self.edges = edges.tolist()
+
+    def __missing__(self, pair: tuple[int, int]) -> list[int]:
+        u, v = pair
+        digits = bin(self.vm[u] & self.vm[v])
+        top = len(digits) - 1  # the index of bit 0
+        edges = self.edges
+        pool = []
+        i = digits.rfind("1")
+        while i >= 0:  # set bits, lowest first; the "0b" prefix holds no "1"
+            pool.append(edges[top - i])
+            i = digits.rfind("1", 0, i)
+        self[pair] = pool
+        return pool
+
+
 class _BudgetedSDR(PrefixSDR):
-    """Prefix matcher for one color's search.  It ends the search once nodes
-    plus augmentations pass the budget, checked at every push, so at every
-    node but the root.
+    """Prefix matcher for one color's search, on the pools of `_ClassPools`.
+    It ends the search once nodes plus augmentations pass the budget, checked
+    at every push, so at every node but the root.
 
     From the color's first backtrack on, a tree pair (v, w) that the matcher
-    accepts must also pass a look-ahead (Hall's condition on what is left).
-    Let R be the unvisited vertices together with w and 0, and E_R the class
-    edges with at least two vertices in R.  Every pair still to come lies
-    inside R and needs an edge of E_R of its own, so the pair is refused when
-    |E_R| < n - (pairs held), or when some unvisited vertex lies in fewer
-    than two edges of E_R.  Both are necessary for distinct edges, so the
-    look-ahead changes the work and nothing else.  The closing pair is not
-    checked.  A search that never backtracks never pays for the look-ahead.
+    accepts must also pass a look-ahead (Hall's condition on what is left),
+    read off the class's per-vertex bitmasks.  Let R be the unvisited
+    vertices together with w and 0, and E_R the class edges with at least two
+    vertices in R.  Every pair still to come lies inside R and needs an edge
+    of E_R of its own, so the pair is refused when |E_R| < n - (pairs held),
+    or when some unvisited vertex lies in fewer than two edges of E_R.  Both
+    are necessary for distinct edges, so the look-ahead changes the work and
+    nothing else.  The closing pair is not checked.  A search that never
+    backtracks never pays for the look-ahead.
 
     Until a cycle of the support graph closes, a pair that the matcher or the
     look-ahead refuses is held unmatched instead, and its subtree is walked
@@ -238,24 +287,22 @@ class _BudgetedSDR(PrefixSDR):
     that comes under a held pair sets `hamiltonian` and is refused, so
     nothing is yielded while a pair is held; from then on refusals cut."""
 
-    def __init__(self, pair_lists, aug: list[int], nodes: list[int], budget: int,
-                 n: int, rows: list[list[int]]):
-        super().__init__(pair_lists, aug)
+    def __init__(self, pools: _ClassPools, aug: list[int], nodes: list[int], budget: int):
+        super().__init__(pools, aug)
         self.nodes = nodes
         self.budget = budget
-        self.n = n
-        self.rows = rows  # the member rows of the color class, in edge order
+        self.vm = pools.vm
         self.held = 0  # the first pair held unmatched and every pair pushed below it
         self.hamiltonian = False  # a cycle of the support graph has closed
+        self.backtracked = False  # the look-ahead runs from the first pop on
         self.path: list[int] = []  # the vertex each accepted push moved to
-        self.rest = (1 << n) - 1  # vertex 0 and the unvisited ones
-        self.vm: Optional[list[int]] = None  # per-vertex class-edge bitmasks
+        self.rest = (1 << len(self.vm)) - 1  # vertex 0 and the unvisited ones
 
     def push(self, u: int, v: int) -> bool:
         if self.nodes[0] + self.work_counter[0] > self.budget:
             raise SearchBudgetExceeded("work budget exhausted")
         matched = not self.held and super().push(u, v)
-        if matched and v and self.vm is not None and not self._lookahead(v):
+        if matched and v and self.backtracked and not self._lookahead(v):
             super().pop()
             matched = False
         if not matched:
@@ -268,23 +315,12 @@ class _BudgetedSDR(PrefixSDR):
         return True
 
     def pop(self) -> None:
-        if self.vm is None:
-            self.vm = self._vertex_masks()
+        self.backtracked = True
         self.rest ^= 1 << self.path.pop()
         if self.held:
             self.held -= 1
         else:
             super().pop()
-
-    def _vertex_masks(self) -> list[int]:
-        """vm[x]: bit j set when x lies in the j-th edge of the color class."""
-        vm = [0] * self.n
-        bit = 1
-        for row in self.rows:
-            for x in row:
-                vm[x] |= bit
-            bit <<= 1
-        return vm
 
     def _lookahead(self, w: int) -> bool:
         """False when the pairs still to come after the pair to w cannot all
@@ -315,19 +351,22 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
 
     Per color with a large enough class: every Hamiltonian cycle of the graph
     of covered pairs is a candidate core (there are no others), and a core
-    works exactly when its n pairs have distinct hyperedges of the color.  One
-    backtracker per color grows the path together with a matching of its
-    pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
-    first cycle it yields is the answer: the first core, in the backtracker's
-    order, that has distinct edges, with the edges that augmenting-path
-    matching of its pairs in order gives.  The matcher's look-ahead (see
-    `_BudgetedSDR`) cuts more prefixes, but only ones with no distinct edges.
-    Until a cycle of the support graph closes, a prefix that the matcher or
-    the look-ahead cuts is walked on unmatched, yielding nothing, so a color
-    that yields nothing is "all cores exhausted" when a cycle closed and
-    "support graph not Hamiltonian" otherwise.  A budget hit parks the color;
-    parked colors get one constructive attempt, and the verdict is undecided
-    only if some color stays unresolved.
+    works exactly when its n pairs have distinct hyperedges of the color.
+    The class is read once into per-vertex bitmasks of its edges
+    (`_ClassPools`): uv is a covered pair when the masks of u and v meet, and
+    a pair's hyperedges are decoded from them when the search first needs
+    them.  One backtracker per color grows the path together with a matching
+    of its pairs (`PrefixSDR`) and cuts every prefix that already has none,
+    so the first cycle it yields is the answer: the first core, in the
+    backtracker's order, that has distinct edges, with the edges that
+    augmenting-path matching of its pairs in order gives.  The matcher's
+    look-ahead (see `_BudgetedSDR`) cuts more prefixes, but only ones with no
+    distinct edges.  Until a cycle of the support graph closes, a prefix that
+    the matcher or the look-ahead cuts is walked on unmatched, yielding
+    nothing, so a color that yields nothing is "all cores exhausted" when a
+    cycle closed and "support graph not Hamiltonian" otherwise.  A budget hit
+    parks the color; parked colors get one constructive attempt, and the
+    verdict is undecided only if some color stays unresolved.
 
     The budget is cumulative across colors, not a fresh allowance per color:
     search nodes and augmenting-path attempts (one per search-tree edge not
@@ -355,11 +394,15 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             stages["colors"][color] = "budget exhausted"
             parked.append(color)
             continue
-        edges, rows = coloring.class_members(color)
-        rows = rows.tolist()
-        lists = _class_pair_lists(n, edges.tolist(), rows)
-        support = Graph(n, [pair for pair, pool in lists.items() if pool])
-        sdr = _BudgetedSDR(lists, aug, nodes, budget, n, rows)
+        pools = _ClassPools(n, *coloring.class_members(color))
+        vm = pools.vm
+        adj = [0] * n  # the support graph: uv is an edge when vm[u] & vm[v]
+        for u, v in combinations(range(n), 2):
+            if vm[u] & vm[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        support = Graph._from_masks(adj)
+        sdr = _BudgetedSDR(pools, aug, nodes, budget)
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
                 cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)
@@ -557,7 +600,10 @@ def gen_coloring(
     vertex-partition: `classes[v]` is a color id per vertex; an edge takes the
         class of its minimum vertex (an adversarial family).
     digits: a string of digit characters cycled over the colex edge order.
+
+    A seed that is not an integer of at least 0 raises ValueError.
     """
+    _check_int("seed", seed, 0)
     E = params.edge_count
     if scheme == "uniform":
         return Coloring(params, [color] * E)

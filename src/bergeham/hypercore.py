@@ -5,7 +5,8 @@ Hyperedges of K_n^r are the r-subsets of [0, n), indexed by their colex rank
 over that index space.  Everything here is immutable after construction.
 
 Which vertices an edge holds is read from one cached member table per (n, r),
-`edge_members`; pair lists, candidate tables and the verifier all use it.
+`edge_members`; the search's per-vertex class bitmasks, candidate tables and
+the verifier all read it.
 
 Every vertex, color and edge index a public call takes passes one argument
 check, `_check_args`: a Python or numpy integer (`_is_int`: no bool, float or
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -196,21 +196,6 @@ class Coloring:
     def __repr__(self):
         p = self.params
         return f"Coloring(n={p.n}, r={p.r}, k={p.k})"
-
-
-def _class_pair_lists(
-    n: int, edges: list[int], rows: list[list[int]]
-) -> dict[tuple[int, int], list[int]]:
-    """Map each vertex pair (u, v), u < v, of [0, n) to the ascending edges of
-    one color class that contain it, given the class's ascending edge indices
-    and their member rows."""
-    lists: dict[tuple[int, int], list[int]] = {
-        pair: [] for pair in combinations(range(n), 2)
-    }
-    for t, row in zip(edges, rows):
-        for pair in combinations(row, 2):
-            lists[pair].append(t)
-    return lists
 
 
 def _is_int(x) -> bool:

@@ -9,6 +9,8 @@ sets, avoidance sets and the bad-pair graphs W_i.
 The good threshold defaults to r-1 and the avoidance degree bound to
 C(4r, r-1); both are parameters because those values swamp every statistic at
 small n and experiments need smaller ones to reach the nontrivial branches.
+Either one given explicitly must be an integer (at least 1 for the threshold,
+at least 0 for the bound), else ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from .hypercore import Coloring, _check_args, _check_int, edge_members
 def default_degree_bound(r: int) -> int:
     """The avoidance degree bound C(4r, r-1)."""
     return comb(4 * r, r - 1)
+
+
+def _degree_bound(d_bound: Optional[int], r: int) -> int:
+    """`d_bound`, or `default_degree_bound(r)` when it is None.  A bound that
+    is not an integer of at least 0 raises ValueError."""
+    if d_bound is None:
+        return default_degree_bound(r)
+    _check_int("d_bound", d_bound, 0)
+    return d_bound
 
 
 class ColorProfile:
@@ -97,12 +108,12 @@ def avoids(
 
     Color i is blocked when some x in S has at most d_bound hyperedges of
     color i, or some pair inside S lacks i as a good color.  Empty W is
-    vacuously avoided.
+    vacuously avoided.  A d_bound that is not an integer of at least 0 raises
+    ValueError.
     """
     S = sorted(set(S))
     W = set(W)
-    if d_bound is None:
-        d_bound = default_degree_bound(profile.params.r)
+    d_bound = _degree_bound(d_bound, profile.params.r)
     for i in W:
         if any(profile.color_degree(x, i) <= d_bound for x in S):
             continue

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bergeham import Coloring, Graph
-from bergeham.hypercore import _check_args, _class_pair_lists, iter_colex_edges
+from bergeham.hypercore import _check_args, iter_colex_edges
 
 
 PETERSEN_EDGES = [
@@ -47,4 +48,10 @@ def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""
     edges, rows = coloring.class_members(color)
-    return _class_pair_lists(coloring.params.n, edges.tolist(), rows.tolist())
+    lists: dict[tuple[int, int], list[int]] = {
+        pair: [] for pair in combinations(range(coloring.params.n), 2)
+    }
+    for t, row in zip(edges.tolist(), rows.tolist()):
+        for pair in combinations(row, 2):
+            lists[pair].append(t)
+    return lists

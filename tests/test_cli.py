@@ -108,6 +108,19 @@ def test_construct_gamma_failure_is_one_line(tmp_path, capsys):
     assert len(out) == 1 and out[0].startswith("not found (stage: gamma)")
 
 
+def test_construct_bad_degree_bound_is_one_error_line(tmp_path, capsys):
+    # a negative bound once ran the pipeline and failed at the gamma stage
+    path = tmp_path / "seed45.txt"
+    assert run("gen", "--scheme", "random", "--n", "8", "--r", "3", "--k", "2",
+               "--seed", "45", "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run("construct", str(path), "--d-bound", "-5") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: d_bound")
+
+
 def test_closure_output(tmp_path, capsys):
     graph_path = tmp_path / "g.txt"
     graph_path.write_text("4\n0 1\n1 2\n2 3\n3 0\n1 3\n")  # K4 minus {0,2}

@@ -13,9 +13,11 @@ from bergeham import (
     GammaBuildError,
     HyperParams,
     Witness,
+    avoids,
     build_gamma_case1,
     build_gamma_case2,
     constructive_find,
+    default_degree_bound,
     naive_oracle,
     verify_berge_cycle,
     witness_search,
@@ -26,7 +28,7 @@ from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.graphs import Graph
 from bergeham.harness import gen_coloring
 from bergeham.hypercore import iter_colex_edges
-from conftest import random_graph
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, random_graph
 
 
 def uniform(n, r, k):
@@ -427,3 +429,23 @@ class TestPipeline:
         with pytest.raises(ValueError):
             constructive_find(uniform(8, 3, 1))
         assert not built  # k is checked before any profile is built
+
+    # None is absent: it asks for the default bound C(4r, r-1)
+    @pytest.mark.parametrize("bad", NON_INTEGERS[:-1] + [1.5, -5],
+                             ids=NON_INTEGER_IDS[:-1] + ["1.5", "-5"])
+    def test_degree_bound_must_be_a_nonnegative_integer(self, bad):
+        # -5, 1.5 and True once gave stage "witness" without a word, and "1"
+        # a TypeError from a comparison
+        coloring = case1_fixture()
+        with pytest.raises(ValueError):
+            constructive_find(coloring, d_bound=bad)
+        profile = ColorProfile(coloring)
+        with pytest.raises(ValueError):
+            witness_search(profile, d_bound=bad)
+        witness = witness_search(profile)
+        with pytest.raises(ValueError):
+            witness.validate(profile, d_bound=bad)
+        with pytest.raises(ValueError):
+            avoids([0], [1], profile, d_bound=bad)
+        bound = np.int64(default_degree_bound(coloring.params.r))
+        assert constructive_find(coloring, d_bound=bound).stage == "done"

@@ -136,6 +136,15 @@ class TestGraphEdits:
         assert g == Graph(4, [(1, 2)])
         assert all(type(g.adjacency_mask(v)) is int for v in range(4))
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [2.5, -1],
+                             ids=NON_INTEGER_IDS + ["2.5", "-1"])
+    def test_vertex_count_must_be_a_nonnegative_integer(self, bad):
+        # Graph(2.5) raised TypeError from list multiplication, and
+        # Graph(True) built a graph with n=True
+        with pytest.raises(ValueError):
+            Graph(bad)
+        assert Graph(np.int64(3), [(0, 2)]) == Graph(3, [(0, 2)])
+
     def test_results(self):
         g = Graph(4, [(0, 1), (1, 2)])
         assert g.with_edges([(2, 3), (1, 0)]) == Graph(4, [(0, 1), (1, 2), (2, 3)])

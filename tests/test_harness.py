@@ -493,6 +493,15 @@ class TestGenColoring:
         assert a == b
         assert a != gen_coloring(p, "random", seed=43)
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [-1], ids=NON_INTEGER_IDS + ["-1"])
+    def test_seed_must_be_a_nonnegative_integer(self, bad):
+        # seed=True drew seed 1's coloring, and 1.5 or "1" raised numpy's
+        # TypeError
+        p = HyperParams(6, 3, 2)
+        with pytest.raises(ValueError):
+            gen_coloring(p, "random", seed=bad)
+        assert gen_coloring(p, "random", seed=np.int64(1)) == gen_coloring(p, "random", seed=1)
+
     def test_vertex_partition(self):
         p = HyperParams(5, 3, 2)
         c = gen_coloring(p, "vertex-partition", classes=[1, 1, 2, 2, 2])

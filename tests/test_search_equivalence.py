@@ -164,9 +164,9 @@ class LookaheadSpy(harness._BudgetedSDR):
     """The production hook with an unreachable budget; it records every path
     prefix, ending at the new vertex, that the look-ahead refuses."""
 
-    def __init__(self, coloring, color, lists, nodes):
-        rows = coloring.class_members(color)[1].tolist()
-        super().__init__(lists, [0], nodes, 10**12, coloring.params.n, rows)
+    def __init__(self, coloring, color, nodes):
+        pools = harness._ClassPools(coloring.params.n, *coloring.class_members(color))
+        super().__init__(pools, [0], nodes, 10**12)
         self.refused = []
 
     def _lookahead(self, w):
@@ -184,6 +184,42 @@ def searched_colors(coloring):
         if int(sizes[color - 1]) >= p.n:
             lists = pair_edges(coloring, color)
             yield color, lists, Graph(p.n, [pair for pair, pool in lists.items() if pool])
+
+
+def test_search_pools_and_support_match_pair_edges(monkeypatch):
+    # The search reads each color's support graph and pools off per-vertex
+    # class-edge bitmasks, built in blocks of `harness._BLOCK` class edges;
+    # the (18,4,2) classes hold about 1 530 edges, so they cross a block
+    # boundary.  Every pair's pool is read, not only those the search pushed.
+    searched = []  # (support graph, prefix hook) per color searched
+
+    def spy(g, *, counter, prefix_hook):
+        searched.append((g, prefix_hook))
+        return iter_hamiltonian_cycles(g, counter=counter, prefix_hook=prefix_hook)
+
+    monkeypatch.setattr(harness, "iter_hamiltonian_cycles", spy)
+    rng = random.Random(19)
+    colorings = [gen_coloring(HyperParams(18, 4, 2), "random", seed=s) for s in range(2)]
+    for n, r, k in SPACES:
+        p = HyperParams(n, r, k)
+        for _ in range(10):
+            colorings.append(Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)]))
+    largest = checked = 0
+    for coloring in colorings:
+        n = coloring.params.n
+        searched.clear()
+        find_mono_berge(coloring)
+        checked += len(searched)
+        for (g, hook), (color, lists, support) in zip(searched, searched_colors(coloring)):
+            edges, rows = coloring.class_members(color)
+            assert g == support, (coloring.to_text(), color)
+            for x in range(n):
+                bits = [j for j, row in enumerate(rows.tolist()) if x in row]
+                assert hook.vm[x] == sum(1 << j for j in bits)
+            for pair, pool in lists.items():
+                assert hook.pair_lists[pair] == pool, (coloring.to_text(), color, pair)
+            largest = max(largest, len(edges))
+    assert largest > harness._BLOCK and checked > len(colorings)
 
 
 def test_lookahead_yields_every_cycle_the_matcher_yields():
@@ -205,7 +241,7 @@ def test_lookahead_yields_every_cycle_the_matcher_yields():
                 for cert in iter_hamiltonian_cycles(support, prefix_hook=plain)
             ]
             nodes = [0]
-            spy = LookaheadSpy(coloring, color, lists, nodes)
+            spy = LookaheadSpy(coloring, color, nodes)
             got = [
                 (cert.order, tuple(spy.representatives()))
                 for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy)
@@ -238,7 +274,7 @@ def test_lookahead_refuses_only_prefixes_without_a_matchable_completion():
             coloring = Coloring(p, [rng.randint(1, k) for _ in range(p.edge_count)])
             for color, lists, support in searched_colors(coloring):
                 nodes = [0]
-                spy = LookaheadSpy(coloring, color, lists, nodes)
+                spy = LookaheadSpy(coloring, color, nodes)
                 for _ in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy):
                     pass
                 for prefix in spy.refused:
