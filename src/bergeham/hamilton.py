@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol
 
 from .graphs import Graph
+from .hypercore import _check_int
 
 
 class SearchBudgetExceeded(Exception):
@@ -239,8 +240,11 @@ def find_hamiltonian_cycle(
     The search runs on the closure and the added edges are peeled off in
     reverse order via transfer_cycle; for plain backtracking on g itself,
     take the first cycle of `iter_hamiltonian_cycles`.  `counter`, when
-    given, accumulates node expansions in its first slot.
+    given, accumulates node expansions in its first slot.  `max_nodes` must be
+    None or an integer of at least 0, else ValueError.
     """
+    if max_nodes is not None:
+        _check_int("max_nodes", max_nodes, 0)
     n = g.n
     if n < 3:
         raise ValueError("Hamiltonian cycles need n >= 3")

@@ -45,7 +45,6 @@ from .hypercore import (
     _check_args,
     _check_int,
     edge_members,
-    iter_colex_edges,
     verify_berge_cycle,
 )
 
@@ -616,8 +615,8 @@ def gen_coloring(
         # checked here: vertices n-r+1..n-1 are no edge's minimum, so a bad
         # class id there never reaches Coloring
         _check_args(params, colors=classes)
-        cols = [classes[e[0]] for e in iter_colex_edges(params.n, params.r)]
-        return Coloring(params, cols)
+        lowest = edge_members(params.n, params.r)[:, 0]
+        return Coloring(params, np.asarray(classes)[lowest])
     if scheme == "digits":
         if not digits or any(ch not in "123456789" for ch in digits):
             raise ValueError("digits scheme needs a nonempty string of digits 1-9")

@@ -5,8 +5,10 @@ Hyperedges of K_n^r are the r-subsets of [0, n), indexed by their colex rank
 over that index space.  Everything here is immutable after construction.
 
 Which vertices an edge holds is read from one cached member table per (n, r),
-`edge_members`; the search's per-vertex class bitmasks, candidate tables and
-the verifier all read it.
+`edge_members`, built from the prefix property of colex order: the j-subsets
+with largest element m are the first C(m, j-1) rows of the (j-1)-subset table,
+each with m appended.  The search's per-vertex class bitmasks, candidate
+tables and the verifier read it, and `iter_colex_edges` yields its rows.
 
 Every vertex, color and edge index a public call takes passes one argument
 check, `_check_args`: a Python or numpy integer (`_is_int`: no bool, float or
@@ -88,34 +90,29 @@ def unrank_edge(index: int, params: HyperParams) -> tuple[int, ...]:
 
 
 def iter_colex_edges(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Yield all r-subsets of [0, n) in colex order (rank 0, 1, 2, ...)."""
-    cur = list(range(r))
-    last = n - 1
-    while True:
-        yield tuple(cur)
-        # odometer step: bump the lowest element that has room below its successor
-        j = 0
-        while j < r - 1 and cur[j] + 1 == cur[j + 1]:
-            j += 1
-        if j == r - 1 and cur[j] == last:
-            return
-        cur[j] += 1
-        for i in range(j):
-            cur[i] = i
+    """Yield the rows of `edge_members(n, r)` as tuples, 1 024 at a time."""
+    table = edge_members(n, r)
+    for start in range(0, len(table), 1024):
+        yield from map(tuple, table[start:start + 1024].tolist())
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed: 6.0 never hits the entry of 6
 def edge_members(n: int, r: int) -> np.ndarray:
     """Read-only (C(n, r), r) table whose row t is the colex-rank-t edge.
 
-    Rows are ascending vertex tuples.  One table per (n, r) is cached and
-    shared by every coloring with those parameters.
+    Built one column at a time: the j-subsets with largest element m are the
+    first C(m, j-1) rows of the (j-1)-subset table, each with m appended; an
+    r-subset's j-th vertex is at most n-r+j-1.  Rows are ascending.  One table
+    per (n, r) is cached and shared by every coloring with those parameters.
+    An (n, r) that `HyperParams` rejects raises ValueError.
     """
-    table = np.fromiter(
-        (v for e in iter_colex_edges(n, r) for v in e),
-        dtype=np.uint8 if n <= 256 else np.uint16,
-        count=comb(n, r) * r,
-    ).reshape(-1, r)
+    HyperParams(n, r)
+    table = np.empty((1, 0), dtype=np.uint8 if n <= 256 else np.uint16)
+    for j in range(1, r + 1):
+        tops = np.arange(j - 1, n - r + j, dtype=table.dtype)
+        counts = [comb(m, j - 1) for m in range(j - 1, n - r + j)]
+        heads = np.concatenate([table[:c] for c in counts])
+        table = np.column_stack((heads, np.repeat(tops, counts)))
     table.flags.writeable = False
     return table
 

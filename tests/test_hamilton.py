@@ -221,6 +221,19 @@ class TestFinder:
             find_hamiltonian_cycle(g, max_nodes=3)
         assert find_hamiltonian_cycle(g) is None
 
+    # None is absent: it means no budget
+    @pytest.mark.parametrize("bad", NON_INTEGERS[:-1] + [1.5, -1],
+                             ids=NON_INTEGER_IDS[:-1] + ["1.5", "-1"])
+    def test_budget_must_be_a_nonnegative_integer(self, petersen, bad):
+        # True and 1.5 acted as a budget of 1, -1 read as an exhausted
+        # budget, and "1" raised TypeError from a comparison
+        with pytest.raises(ValueError, match="max_nodes"):
+            find_hamiltonian_cycle(petersen, max_nodes=bad)
+        with pytest.raises(SearchBudgetExceeded):
+            find_hamiltonian_cycle(petersen, max_nodes=np.int64(3))
+        # a complete closure is answered without a search, so 0 suffices
+        assert find_hamiltonian_cycle(Graph.complete(5), max_nodes=0) is not None
+
     def test_closure_equivalence_small(self):
         # computable closure lemma on a slice of small graphs
         rng = random.Random(43)

@@ -54,10 +54,14 @@ class TestRankUnrank:
         assert unrank_edge(comb(6, 3) - 1, HyperParams(6, 3)) == (3, 4, 5)
 
     def test_iteration_matches_rank(self):
-        p = HyperParams(7, 4)
-        for t, e in enumerate(iter_colex_edges(7, 4)):
-            assert rank_edge(e, p) == t
-            assert unrank_edge(t, p) == e
+        # (16,4) has 1 820 edges, so its walk crosses a 1 024-row block seam
+        for n, r in [(7, 4), (16, 4)]:
+            p = HyperParams(n, r)
+            walk = list(iter_colex_edges(n, r))
+            assert walk == [tuple(row) for row in edge_members(n, r).tolist()]
+            for t, e in enumerate(walk):
+                assert rank_edge(e, p) == t
+                assert unrank_edge(t, p) == e
 
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
     def test_roundtrip_full_small(self, nr):
@@ -66,14 +70,17 @@ class TestRankUnrank:
         for t in range(p.edge_count):
             assert rank_edge(unrank_edge(t, p), p) == t
 
-    @pytest.mark.parametrize("n,r", [(30, 7), (40, 5), (24, 12), (100, 3)])
+    @pytest.mark.parametrize(
+        "n,r", [(30, 7), (40, 5), (60, 5), (24, 12), (100, 3), (300, 2)]
+    )
     def test_roundtrip_sampled_large(self, n, r):
         p = HyperParams(n, r)
         assert p.edge_count <= 10**7
+        table = edge_members(n, r)
         step = max(1, p.edge_count // 997)
-        for t in range(0, p.edge_count, step):
+        for t in [*range(0, p.edge_count, step), p.edge_count - 1]:
             assert rank_edge(unrank_edge(t, p), p) == t
-        assert rank_edge(unrank_edge(p.edge_count - 1, p), p) == p.edge_count - 1
+            assert tuple(table[t].tolist()) == unrank_edge(t, p)
 
     def test_rank_rejects_bad_subsets(self):
         p = HyperParams(5, 3)
@@ -203,13 +210,30 @@ def test_index_entries_keep_their_integer_results():
 
 class TestMemberTable:
     def test_rows_are_unranked_edges(self):
-        for n, r in [(2, 2), (6, 3), (7, 7), (9, 4)]:
+        for n, r in [(2, 2), (6, 3), (7, 7), (9, 4), (300, 2)]:
             table = edge_members(n, r)
             assert table.shape == (comb(n, r), r)
+            assert table.dtype == (np.uint8 if n <= 256 else np.uint16)
             p = HyperParams(n, r)
             assert [tuple(row) for row in table.tolist()] == [
                 unrank_edge(t, p) for t in range(p.edge_count)
             ]
+
+    @pytest.mark.parametrize(
+        "n,r",
+        [(2.5, 2), (3, 5), (4, 0), (1, 1), (6, 1.0), (6.0, 3), ("3", 2), (True, 2),
+         (70, 35)],
+    )
+    def test_rejects_what_params_reject(self, n, r):
+        # iter_colex_edges(2.5, 2) and (3, 5) never stopped, (4, 0) raised
+        # IndexError; only next() is called, so such a walk cannot hang here
+        edge_members(6, 3)  # a cached table must not answer for (6.0, 3)
+        with pytest.raises(ValueError):
+            HyperParams(n, r)
+        with pytest.raises(ValueError):
+            edge_members(n, r)
+        with pytest.raises(ValueError):
+            next(iter_colex_edges(n, r))
 
     def test_read_only_and_shared(self):
         table = edge_members(6, 3)
