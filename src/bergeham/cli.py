@@ -2,7 +2,8 @@
 
 Subcommands: verify, search, exhaust, construct, closure, gen.  Exit codes:
 0 = found/verified, 1 = not-found/invalid, 2 = undecided/infeasible; bad
-input and a coloring too large for memory print one `error:` line and exit 2.
+input, a coloring too large for memory and a run deeper than the recursion
+limit (about n = 1000) print one `error:` line and exit 2.
 
 File formats:
 - coloring: line 1 "n r k"; line 2 = C(n,r) space-separated color ids in
@@ -89,9 +90,7 @@ def _cmd_exhaust(args) -> int:
 def _cmd_construct(args) -> int:
     coloring = _load_coloring(args.coloring)
     outcome = constructive_find(
-        coloring,
-        d_bound=args.d_bound,
-        good_threshold=args.good_threshold,
+        coloring, d_bound=args.d_bound, good_threshold=args.good_threshold
     )
     if args.dump_bundle and outcome.bundle is not None:
         outcome.bundle.dump_json(args.dump_bundle)
@@ -117,9 +116,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = HyperParams(args.n, args.r, args.k)
-    classes = None
-    if args.classes:
-        classes = [int(x) for x in args.classes.split(",")]
+    classes = [int(x) for x in args.classes.split(",")] if args.classes else None
     coloring = gen_coloring(
         params,
         args.scheme,
@@ -190,11 +187,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        message = str(err)
     except MemoryError as err:  # numpy's allocation failure is one, too
-        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
-        return 2
+        message = f"out of memory{f': {err}' if str(err) else ''}"
+    except RecursionError:  # searches and matchers recurse once per vertex
+        message = "recursion too deep: the searches reach n of about 1000 at most"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -119,14 +119,22 @@ def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
     return choice if place(0) else None
 
 
+def _packed_masks(n: int, rows: np.ndarray) -> list[int]:
+    """Entry x has bit j set when vertex x lies in rows[j].  numpy flags and
+    packs 2^16 rows (2^13 whole bytes) at a time, so the flags stay small."""
+    packed = np.empty((n, (len(rows) + 7) // 8), dtype=np.uint8)
+    for at in range(0, packed.shape[1], 1 << 13):
+        part = rows[8 * at:8 * (at + (1 << 13))]
+        flags = np.zeros((n, len(part)), dtype=bool)
+        flags[part.T, np.arange(len(part))] = True
+        packed[:, at:at + (1 << 13)] = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 @lru_cache(maxsize=8)
 def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
-    """Entry x has bit t set when vertex x lies in the colex-rank-t edge."""
-    members = edge_members(n, r)
-    flags = np.zeros((n, len(members)), dtype=bool)
-    flags[members.T, np.arange(len(members))] = True
-    packed = np.packbits(flags, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    """`_packed_masks` of the colex member table: bit t is the rank-t edge."""
+    return tuple(_packed_masks(n, edge_members(n, r)))
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +225,7 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     return _decide_exact(coloring.params, coloring.colors.tolist())
 
 
-_BLOCK = 1024  # class edges per block of `_ClassPools`' mask builder
+_BLOCK = 1024  # larger classes get their masks from `_packed_masks`
 
 
 class _ClassPools(dict):
@@ -225,29 +233,21 @@ class _ClassPools(dict):
     reads from them.
 
     Bit j of vm[x] is set when vertex x lies in the j-th class edge, given
-    the class's ascending edge indices and their member rows (at least one).
-    The masks are built `_BLOCK` rows at a time on ints of at most `_BLOCK`
-    bits, and each vertex's blocks are joined as bytes, so the build is
-    linear in the class size.  Pair (u, v), u < v, maps to the ascending
-    class edges holding both: the set bits of vm[u] & vm[v], decoded on the
-    pair's first lookup."""
+    the class's ascending edge indices and their member rows (at least one);
+    up to `_BLOCK` rows, a loop over Python ints beats `_packed_masks`.
+    Pair (u, v), u < v, maps to the ascending class edges holding both: the
+    set bits of vm[u] & vm[v], decoded on the pair's first lookup."""
 
     def __init__(self, n: int, edges: np.ndarray, rows: np.ndarray):
-        blocks = []  # per run of _BLOCK class edges, each vertex's mask of the run
-        for start in range(0, len(rows), _BLOCK):
-            block = [0] * n
+        if len(rows) > _BLOCK:
+            self.vm = _packed_masks(n, rows)
+        else:
+            self.vm = vm = [0] * n
             bit = 1
-            for row in rows[start:start + _BLOCK].tolist():
+            for row in rows.tolist():
                 for x in row:
-                    block[x] |= bit
+                    vm[x] |= bit
                 bit <<= 1
-            blocks.append(block)
-        # one block is the masks; more are joined as bytes, lowest block first
-        width = _BLOCK // 8
-        self.vm = blocks[0] if len(blocks) == 1 else [
-            int.from_bytes(b"".join([m.to_bytes(width, "little") for m in masks]), "little")
-            for masks in zip(*blocks)
-        ]
         self.edges = edges.tolist()
 
     def __missing__(self, pair: tuple[int, int]) -> list[int]:

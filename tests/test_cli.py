@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergeham import cli
+from bergeham import cli, harness
 from bergeham.cli import main
 from bergeham.fixtures import case1_fixture
 from bergeham.hypercore import Coloring
@@ -168,3 +168,14 @@ def test_gen_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, err):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory")
     assert not out.exists()
+
+
+def test_exhaust_past_the_recursion_limit_is_one_line(capsys):
+    # the exact decider's distinct-representative search recurses once per
+    # vertex, so a k = 1 sweep at n = 1000 passes Python's recursion limit
+    try:
+        assert run("exhaust", "--n", "1000", "--r", "2", "--k", "1") == 2
+    finally:
+        harness._vertex_masks.cache_clear()  # about 60 MB of (1000, 2) masks
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: recursion too deep")

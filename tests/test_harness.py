@@ -19,7 +19,7 @@ from bergeham import (
 from bergeham import harness
 from bergeham.fixtures import case1_fixture
 from bergeham.harness import SearchReport
-from bergeham.hypercore import BergeCycle, iter_colex_edges, pair_supersets
+from bergeham.hypercore import BergeCycle, edge_members, iter_colex_edges, pair_supersets
 from conftest import NON_INTEGER_IDS, NON_INTEGERS, pair_edges
 from test_differential import DRAWN_SPACES, SPACES
 
@@ -278,6 +278,23 @@ class TestNaiveOracle:
             both = vm[u] & vm[v]
             assert [t for t in range(p.edge_count) if both >> t & 1] == pair_supersets(u, v, p)
         assert harness._vertex_masks(n, r) is vm
+
+    def test_vertex_masks_across_a_chunk_seam(self):
+        # C(26,5) = 65 780 edges: the packer's second chunk starts at edge
+        # 65 536, so bits 65 520-65 551 straddle the seam
+        p = HyperParams(26, 5, 1)
+        members = edge_members(26, 5)
+        vm = harness._vertex_masks(26, 5)
+        assert [m.bit_count() for m in vm] == [comb(25, 4)] * 26
+        for t in range(65520, 65552):
+            assert [x for x in range(26) if vm[x] >> t & 1] == members[t].tolist()
+        for u, v in [(0, 1), (3, 17), (12, 25), (24, 25)]:
+            both = bin(vm[u] & vm[v])[:1:-1]  # lowest bit first
+            assert [t for t, bit in enumerate(both) if bit == "1"] == pair_supersets(u, v, p)
+        # a k = 1 class is the whole member table, packed the same way
+        pools = harness._ClassPools(26, *Coloring(p, [1] * p.edge_count).class_members(1))
+        assert pools.vm == list(vm)
+        assert pools[(3, 17)] == pair_supersets(3, 17, p)
 
     def test_agreement_with_search(self):
         rng = random.Random(79)

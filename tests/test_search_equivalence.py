@@ -11,13 +11,14 @@ found first, the edges it gets, or any per-color stage label.
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from bergeham import Coloring, Graph, HyperParams, find_mono_berge, gen_coloring
 from bergeham import harness
 from bergeham.extend import PrefixSDR, build_candidates, extend_matching
 from bergeham.hamilton import iter_hamiltonian_cycles
-from bergeham.hypercore import iter_colex_edges
+from bergeham.hypercore import edge_members, iter_colex_edges
 from conftest import pair_edges
 
 from test_differential import SPACES
@@ -188,9 +189,10 @@ def searched_colors(coloring):
 
 def test_search_pools_and_support_match_pair_edges(monkeypatch):
     # The search reads each color's support graph and pools off per-vertex
-    # class-edge bitmasks, built in blocks of `harness._BLOCK` class edges;
-    # the (18,4,2) classes hold about 1 530 edges, so they cross a block
-    # boundary.  Every pair's pool is read, not only those the search pushed.
+    # class-edge bitmasks; the (18,4,2) classes hold about 1 530 edges, more
+    # than `harness._BLOCK`, so numpy packs them, while the small spaces take
+    # the Python loop.  Every pair's pool is read, not only those the search
+    # pushed.
     searched = []  # (support graph, prefix hook) per color searched
 
     def spy(g, *, counter, prefix_hook):
@@ -220,6 +222,17 @@ def test_search_pools_and_support_match_pair_edges(monkeypatch):
                 assert hook.pair_lists[pair] == pool, (coloring.to_text(), color, pair)
             largest = max(largest, len(edges))
     assert largest > harness._BLOCK and checked > len(colorings)
+
+
+@pytest.mark.parametrize("size", [harness._BLOCK, harness._BLOCK + 1])
+def test_class_masks_on_either_side_of_the_size_switch(size):
+    # at most `_BLOCK` rows take the Python loop, one more takes numpy
+    rows = edge_members(18, 4)[:size]
+    expect = [0] * 18
+    for j, row in enumerate(rows.tolist()):
+        for x in row:
+            expect[x] |= 1 << j
+    assert harness._ClassPools(18, np.arange(size), rows).vm == expect
 
 
 def test_lookahead_yields_every_cycle_the_matcher_yields():
