@@ -13,7 +13,9 @@ pipeline when budgets bite.
 plus brute-force SDR over pools read from its own cached per-vertex edge
 bitmasks, no graph machinery, in `_berge_cycle`), and `exhaustive_verify`
 sweeps an entire coloring space with the same decider, deciding whole
-subtrees of colorings at once.
+subtrees of colorings at once and counting a subtree that differs from a
+walked one only by swapping two colors its prefix leaves unused without
+walking it.
 
 Budgets are node expansions plus matching augmentations; wall clock never
 influences a verdict.
@@ -235,8 +237,10 @@ class _ClassPools(dict):
     Bit j of vm[x] is set when vertex x lies in the j-th class edge, given
     the class's ascending edge indices and their member rows (at least one);
     up to `_BLOCK` rows, a loop over Python ints beats `_packed_masks`.
-    Pair (u, v), u < v, maps to the ascending class edges holding both: the
-    set bits of vm[u] & vm[v], decoded on the pair's first lookup."""
+    Pair (u, v), u < v, maps to the ascending class positions j of the edges
+    holding both: the set bits of vm[u] & vm[v], decoded on the pair's first
+    lookup.  Positions rise with edge indices, so matching on positions makes
+    the choices matching on edges would; `edges[j]` is position j's edge."""
 
     def __init__(self, n: int, edges: np.ndarray, rows: np.ndarray):
         if len(rows) > _BLOCK:
@@ -248,17 +252,16 @@ class _ClassPools(dict):
                 for x in row:
                     vm[x] |= bit
                 bit <<= 1
-        self.edges = edges.tolist()
+        self.edges = edges
 
     def __missing__(self, pair: tuple[int, int]) -> list[int]:
         u, v = pair
         digits = bin(self.vm[u] & self.vm[v])
         top = len(digits) - 1  # the index of bit 0
-        edges = self.edges
         pool = []
         i = digits.rfind("1")
         while i >= 0:  # set bits, lowest first; the "0b" prefix holds no "1"
-            pool.append(edges[top - i])
+            pool.append(top - i)
             i = digits.rfind("1", 0, i)
         self[pair] = pool
         return pool
@@ -404,7 +407,8 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
         sdr = _BudgetedSDR(pools, aug, nodes, budget)
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
-                cycle = BergeCycle(cert.order, tuple(sdr.representatives()), color)
+                edges = pools.edges[sdr.representatives()].tolist()
+                cycle = BergeCycle(cert.order, tuple(edges), color)
                 bad = verify_berge_cycle(cycle, coloring)
                 if bad is not None:
                     raise RuntimeError(f"search produced an invalid cycle: {bad}")
@@ -476,27 +480,32 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     """Classify the colorings at counter values [lo, hi) of the sweep order
     by a walk of the prefix tree (see `exhaustive_verify`)."""
     n, r, k, count = params.n, params.r, params.k, params.edge_count
-    success = failure = 0
     examples: list[str] = []
+    stored = ExhaustReport.MAX_STORED
 
-    def fail(a: int, b: int) -> None:  # every coloring in [a, b) fails
-        nonlocal failure
-        failure += b - a
-        for m in range(a, min(b, a + ExhaustReport.MAX_STORED - len(examples))):
+    def fail(a: int, b: int) -> None:  # keep the failing colorings [a, b)
+        for m in range(a, min(b, a + stored - len(examples))):
             examples.append(" ".join(map(str, _digits(m, count, k))))
 
     owned = [0] * k  # per color (0-based): the edges of the prefix it holds
 
-    def walk(j: int, base: int) -> None:
+    def walk(j: int, base: int) -> int:
         """Give edge j each color under the prefix of edges 0..j-1 held in
-        `owned`, whose subtree starts at counter `base`."""
-        nonlocal success
+        `owned`, whose subtree starts at counter `base`; return the subtree's
+        successes in range."""
         size = k ** (count - j - 1)
         bit = 1 << j
+        success = 0
+        twin = -1  # successes of a walked whole subtree of an unused color
         for c in range(k):
             start = base + c * size
             a, b = max(start, lo), min(start + size, hi)
             if a >= b:
+                continue
+            fresh = not owned[c] and b - a == size
+            # swapping two unused colors maps one whole subtree onto the other
+            if fresh and (twin == size or twin >= 0 and len(examples) >= stored):
+                success += twin
                 continue
             mine = owned[c] | bit
             # the prefix held no c-cycle, so a new one uses edge j
@@ -506,21 +515,27 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
                 bad = verify_berge_cycle(cycle, Coloring(params, _digits(a, count, k)))
                 if bad is not None:
                     raise RuntimeError(f"sweep produced an invalid cycle: {bad}")
-                success += b - a
+                got = b - a
             elif j + 1 == count:
                 fail(a, b)
+                got = 0
             else:
                 owned[c] = mine
-                walk(j + 1, start)
+                got = walk(j + 1, start)
                 owned[c] = mine ^ bit
+            if fresh:
+                twin = got
+            success += got
+        return success
 
     if hi - lo > 1:
-        walk(0, 0)
+        success = walk(0, 0)
     elif _decide_exact(params, _digits(lo, count, k)).verdict == "found":
         success = 1
     else:
+        success = 0
         fail(lo, hi)
-    return success, failure, examples
+    return success, hi - lo - success, examples
 
 
 def exhaustive_verify(
@@ -550,10 +565,25 @@ def exhaustive_verify(
     subtree's colorings in range are counted and the cycle is verified once,
     on the first of them.  Otherwise the walk goes on to edge j + 1, so a
     coloring reached as a leaf has no monochromatic cycle and fails; the
-    failures are kept in counter order.  A shard of a single coloring, so
-    every k = 1 sweep, is decided directly by `naive_oracle`'s decider: a
-    walk would call the decider on every prefix of that coloring's edges
-    (about 1 s at (12,3,1), against 1 ms) and recurse once per edge.
+    failures are kept in counter order.
+
+    Swapping two colors c and c' that edges 0..j-1 leave unused maps the
+    subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps
+    each coloring's answer.  So a node walks the first unused color whose
+    subtree lies whole in the shard's range, and each later unused color
+    whose subtree also lies whole in range gets the same success count with
+    no decider call.  The swap does not keep counter order, so failures are
+    never copied as counterexamples: a subtree is reused only when the
+    walked one had no failure or the shard already keeps `MAX_STORED`
+    counterexamples, and is walked otherwise.  A subtree cut by a shard
+    bound is walked too, so a sweep of two or more shards at k = 2 gains
+    nothing: only the root leaves two colors unused.  A shard's failures
+    are its range size minus its successes.
+
+    A shard of a single coloring, so every k = 1 sweep, is decided directly
+    by `naive_oracle`'s decider: a walk would call the decider on every
+    prefix of that coloring's edges (about 1 s at (12,3,1), against 1 ms)
+    and recurse once per edge.
     """
     edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
     # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power

@@ -343,9 +343,11 @@ class TestExhaustiveVerify:
         return built
 
     def test_sweep_makes_a_coloring_only_for_a_found_cycle(self, built):
-        # each of the 3 successes is a leaf of the prefix tree
+        # each of the 3 successes is a leaf of the prefix tree; color 3's root
+        # subtree is color 2's with the two colors swapped, and once 100
+        # counterexamples are kept its success is counted without a walk
         rep = exhaustive_verify(HyperParams(5, 4, 3))
-        assert rep.success == len(built) == 3
+        assert (rep.success, len(built)) == (3, 2)
 
     def test_success_subtrees_counted_in_bulk(self, built):
         # one coloring per success subtree checks the subtree's cycle
@@ -430,6 +432,51 @@ class TestExhaustiveVerify:
         rep = exhaustive_verify(p, shards=shards)
         assert (rep.success, rep.failure) == (success, len(failures))
         assert rep.counterexamples == failures[: rep.MAX_STORED]
+
+    @pytest.mark.parametrize("stored", [0, 1, 7])
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 4, 3), (6, 5, 2)])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_relabelled_subtrees_keep_counterexamples(self, stored, shape, shards, monkeypatch):
+        # a subtree with failures is reused only once the shard keeps
+        # MAX_STORED counterexamples, so a smaller cap turns reuse on earlier
+        monkeypatch.setattr(harness.ExhaustReport, "MAX_STORED", stored)
+        p = HyperParams(*shape)
+        success, failures = decoded_sweep(p)
+        rep = exhaustive_verify(p, shards=shards)
+        assert (rep.success, rep.failure) == (success, len(failures))
+        assert rep.counterexamples == failures[:stored]
+
+    # _berge_cycle calls of a serial sweep: (shape, calls at shards=1, and the
+    # calls at shards 1 and 3 of a walk that reuses no subtree)
+    DECIDER_CALLS = [
+        ((4, 3, 2), 30, (30, 35)),
+        ((5, 4, 2), 62, (62, 69)),
+        ((5, 4, 3), 184, (363, 363)),
+        ((6, 4, 2), 995, (1990, 2012)),
+        ((5, 3, 2), 315, (630, 647)),
+        ((6, 5, 2), 126, (126, 135)),
+        ((5, 3, 3), 9999, (59700, 59700)),
+        ((7, 5, 2), 3523, (7046, 7072)),
+    ]
+
+    @pytest.mark.parametrize("shape, calls, walked", DECIDER_CALLS)
+    def test_relabelled_subtrees_save_decider_calls(self, shape, calls, walked, monkeypatch):
+        # a whole subtree of a color unused by its prefix is counted from an
+        # earlier unused color's walk; a shard-cut subtree is walked
+        made = [0]
+
+        def spy(*args, _real=harness._berge_cycle):
+            made[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, "_berge_cycle", spy)
+        got = []
+        for shards in (1, 3):
+            made[0] = 0
+            exhaustive_verify(HyperParams(*shape), shards=shards)
+            got.append(made[0])
+        assert got[0] == calls
+        assert all(now <= before for now, before in zip(got, walked))
 
     def test_pooled_sweep_matches_the_divmod_decoder(self):
         # shard bounds at 10922 and 21845 cut success subtrees

@@ -219,7 +219,9 @@ def test_search_pools_and_support_match_pair_edges(monkeypatch):
                 bits = [j for j, row in enumerate(rows.tolist()) if x in row]
                 assert hook.vm[x] == sum(1 << j for j in bits)
             for pair, pool in lists.items():
-                assert hook.pair_lists[pair] == pool, (coloring.to_text(), color, pair)
+                # the hook's pools hold class positions: `edges` maps them back
+                got = edges[hook.pair_lists[pair]].tolist()
+                assert got == pool, (coloring.to_text(), color, pair)
             largest = max(largest, len(edges))
     assert largest > harness._BLOCK and checked > len(colorings)
 
@@ -255,8 +257,9 @@ def test_lookahead_yields_every_cycle_the_matcher_yields():
             ]
             nodes = [0]
             spy = LookaheadSpy(coloring, color, nodes)
+            edges = spy.pair_lists.edges  # the spy matches class positions
             got = [
-                (cert.order, tuple(spy.representatives()))
+                (cert.order, tuple(edges[spy.representatives()].tolist()))
                 for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy)
             ]
             assert got == want, (coloring.to_text(), color)
