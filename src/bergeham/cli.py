@@ -7,9 +7,9 @@ limit (about n = 1000) print one `error:` line and exit 2.
 
 File formats:
 - coloring: line 1 "n r k"; line 2 = C(n,r) space-separated color ids in
-  colex edge order; trailing newline.
+  colex edge order; then a trailing newline and blank lines at most.
 - cycle: line 1 = n core vertices; line 2 = n hyperedge indices; optional
-  line 3 = color id.
+  line 3 = color id; blank lines are skipped, and a further line is bad.
 - graph: line 1 = vertex count; one "u v" pair per following line.
 """
 
@@ -35,6 +35,8 @@ def _load_cycle(path: str) -> BergeCycle:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("cycle file needs a core line and an edge line")
+    if len(lines) > 3:
+        raise ValueError("cycle file has content past its color line")
     core = tuple(int(x) for x in lines[0].split())
     edges = tuple(int(x) for x in lines[1].split())
     color = int(lines[2]) if len(lines) > 2 else None

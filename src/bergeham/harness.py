@@ -11,11 +11,12 @@ the matcher's pools and the look-ahead.  It falls back to the constructive
 pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
 plus brute-force SDR over pools read from its own cached per-vertex edge
-bitmasks, no graph machinery, in `_berge_cycle`), and `exhaustive_verify`
-sweeps an entire coloring space with the same decider, deciding whole
-subtrees of colorings at once and counting a subtree that differs from a
-walked one only by swapping two colors its prefix leaves unused without
-walking it.
+bitmasks, no graph machinery, in `_berge_cycle`, which decides one color's
+edge mask), and `exhaustive_verify` sweeps an entire coloring space with the
+same decider, deciding whole subtrees of colorings at once and counting a
+subtree that differs from a walked one only by swapping two colors its
+prefix leaves unused without walking it.  The search, the oracle and the
+sweep hand every cycle they find to one certificate step, `_checked`.
 
 Budgets are node expansions plus matching augmentations; wall clock never
 influences a verdict.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice, permutations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -139,14 +140,8 @@ def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
     return tuple(_packed_masks(n, edge_members(n, r)))
 
 
-@lru_cache(maxsize=None)
-def _one_color(color: int) -> bytes:
-    """A `bytes.translate` table: byte `color` to b"1", every other to b"0"."""
-    return bytes(49 if i == color else 48 for i in range(256))
-
-
 def _berge_cycle(
-    n: int, r: int, allowed: int, needed: int = -1
+    n: int, r: int, allowed: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(core, edges) of a Hamiltonian Berge-cycle of K_n^r whose edges all
     lie in `allowed` (bit t: the colex-rank-t edge), or None if there is none.
@@ -155,9 +150,7 @@ def _berge_cycle(
     lies in fewer than two of them.  Otherwise it tries every core up to
     rotation/reflection, in permutation order, with brute-force distinct
     representatives.  A pair's pool, its ascending allowed edges, is read
-    off the cached per-vertex edge bitmasks the first time a core needs it.
-    A `needed` edge skips every core with no pool holding it; pass one only
-    when every cycle on `allowed` is known to use that edge."""
+    off the cached per-vertex edge bitmasks the first time a core needs it."""
     if allowed.bit_count() < n:
         return None
     vm = _vertex_masks(n, r)
@@ -185,33 +178,36 @@ def _berge_cycle(
                 break
             pools.append(pool)
         else:
-            if needed < 0 or any(needed in pool for pool in pools):
-                sdr = _sdr_search(pools)
-                if sdr is not None:
-                    return core, tuple(sdr)
+            sdr = _sdr_search(pools)
+            if sdr is not None:
+                return core, tuple(sdr)
     return None
 
 
-def _decide_exact(params: HyperParams, colors: Sequence[int]) -> SearchReport:
-    """Exhaustive decision on a list or tuple of color ids in colex edge order:
-    `_berge_cycle` on each color's edges in turn.
+def _checked(cycle: BergeCycle, coloring: Coloring, source: str) -> BergeCycle:
+    """`cycle` once `verify_berge_cycle` accepts it on `coloring`; else the
+    `source` ("search", "oracle" or "sweep") is named in a RuntimeError."""
+    bad = verify_berge_cycle(cycle, coloring)
+    if bad is not None:
+        raise RuntimeError(f"{source} produced an invalid cycle: {bad}")
+    return cycle
 
-    A color with fewer than n edges is skipped.  Only a found cycle makes a
-    `Coloring`, to be checked by `verify_berge_cycle`."""
-    n = params.n
-    text = bytes(colors)[::-1]  # edge t becomes bit t of a color's mask
+
+def _decide_exact(coloring: Coloring) -> SearchReport:
+    """Exhaustive decision: `_berge_cycle` on each color's edge mask in turn,
+    read off `coloring.colors`.  A color with fewer than n edges is skipped,
+    and a found cycle is checked on `coloring`."""
+    p = coloring.params
     stages: dict = {"skipped_colors": []}
-    for color in range(1, params.k + 1):
-        allowed = int(text.translate(_one_color(color)), 2)
-        if allowed.bit_count() < n:
+    for color in range(1, p.k + 1):
+        bits = np.packbits(coloring.colors == color, bitorder="little")
+        allowed = int.from_bytes(bits.tobytes(), "little")
+        if allowed.bit_count() < p.n:
             stages["skipped_colors"].append(color)
             continue
-        found = _berge_cycle(n, params.r, allowed)
+        found = _berge_cycle(p.n, p.r, allowed)
         if found is not None:
-            cycle = BergeCycle(*found, color)
-            bad = verify_berge_cycle(cycle, Coloring(params, colors))
-            if bad is not None:
-                raise RuntimeError(f"oracle produced an invalid cycle: {bad}")
+            cycle = _checked(BergeCycle(*found, color), coloring, "oracle")
             return SearchReport("found", color=color, cycle=cycle, stages=stages)
     return SearchReport("not-found", stages=stages)
 
@@ -224,7 +220,7 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     """
     if coloring.params.n > NAIVE_MAX_N:
         raise ValueError(f"naive oracle is factorial-bounded to n <= {NAIVE_MAX_N}")
-    return _decide_exact(coloring.params, coloring.colors.tolist())
+    return _decide_exact(coloring)
 
 
 _BLOCK = 1024  # larger classes get their masks from `_packed_masks`
@@ -368,7 +364,9 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     nothing, so a color that yields nothing is "all cores exhausted" when a
     cycle closed and "support graph not Hamiltonian" otherwise.  A budget hit
     parks the color; parked colors get one constructive attempt, and the
-    verdict is undecided only if some color stays unresolved.
+    verdict is undecided only if some color stays unresolved.  That attempt
+    runs outside `budget`, under `construct.GAMMA_NODE_BUDGET` (2 000 000
+    nodes), and `nodes` and `augmentations` do not count its work.
 
     The budget is cumulative across colors, not a fresh allowance per color:
     search nodes and augmenting-path attempts (one per search-tree edge not
@@ -408,10 +406,7 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
                 edges = pools.edges[sdr.representatives()].tolist()
-                cycle = BergeCycle(cert.order, tuple(edges), color)
-                bad = verify_berge_cycle(cycle, coloring)
-                if bad is not None:
-                    raise RuntimeError(f"search produced an invalid cycle: {bad}")
+                cycle = _checked(BergeCycle(cert.order, tuple(edges), color), coloring, "search")
                 stages["colors"][color] = "found"
                 return SearchReport("found", color, cycle, stages, nodes[0], aug[0])
             stages["colors"][color] = (
@@ -508,13 +503,10 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
                 success += twin
                 continue
             mine = owned[c] | bit
-            # the prefix held no c-cycle, so a new one uses edge j
-            found = _berge_cycle(n, r, mine, j)
+            found = _berge_cycle(n, r, mine)
             if found is not None:
-                cycle = BergeCycle(*found, c + 1)
-                bad = verify_berge_cycle(cycle, Coloring(params, _digits(a, count, k)))
-                if bad is not None:
-                    raise RuntimeError(f"sweep produced an invalid cycle: {bad}")
+                first = Coloring(params, _digits(a, count, k))
+                _checked(BergeCycle(*found, c + 1), first, "sweep")
                 got = b - a
             elif j + 1 == count:
                 fail(a, b)
@@ -530,7 +522,7 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
 
     if hi - lo > 1:
         success = walk(0, 0)
-    elif _decide_exact(params, _digits(lo, count, k)).verdict == "found":
+    elif _decide_exact(Coloring(params, _digits(lo, count, k))).verdict == "found":
         success = 1
     else:
         success = 0
@@ -562,10 +554,10 @@ def exhaustive_verify(
     decider `_berge_cycle` settles success subtrees.  When edge j's color c
     closes a c-cycle among the edges colored so far (it must use edge j,
     since the parent node had no c-cycle), every completion succeeds: the
-    subtree's colorings in range are counted and the cycle is verified once,
-    on the first of them.  Otherwise the walk goes on to edge j + 1, so a
-    coloring reached as a leaf has no monochromatic cycle and fails; the
-    failures are kept in counter order.
+    subtree's colorings in range are counted and the cycle is checked once
+    (`_checked`), on the first of them.  Otherwise the walk goes on to edge
+    j + 1, so a coloring reached as a leaf has no monochromatic cycle and
+    fails; the failures are kept in counter order.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
     subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps
@@ -580,10 +572,12 @@ def exhaustive_verify(
     nothing: only the root leaves two colors unused.  A shard's failures
     are its range size minus its successes.
 
-    A shard of a single coloring, so every k = 1 sweep, is decided directly
-    by `naive_oracle`'s decider: a walk would call the decider on every
-    prefix of that coloring's edges (about 1 s at (12,3,1), against 1 ms)
-    and recurse once per edge.
+    A shard of a single coloring, so every k = 1 sweep, builds that one
+    `Coloring` and is decided directly by `naive_oracle`'s decider: a walk
+    would call the decider on every prefix of that coloring's edges (about
+    1 s at (12,3,1), against 1 ms) and recurse once per edge.  Shards run in
+    a process pool of min(workers, shards, os.cpu_count()) processes, or
+    serially when that is 1.
     """
     edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
     # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power
@@ -597,12 +591,12 @@ def exhaustive_verify(
     _check_int("workers", workers, 1)
     bounds = [total * i // shards for i in range(shards + 1)]
     args = ([params] * shards, bounds[:-1], bounds[1:])
-    if workers == 1:
+    size = min(workers, shards, os.cpu_count() or 1)
+    if size == 1:
         parts = list(map(_sweep_range, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = min(workers, shards, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_sweep_range, *args))
     success, failure, examples = zip(*parts)

@@ -162,7 +162,7 @@ class Coloring:
         edges = np.flatnonzero(self.colors == color)
         return edges, edge_members(self.params.n, self.params.r)[edges]
 
-    # --- text format: line 1 "n r k", line 2 = edge_count color ids -------
+    # --- text format: line 1 "n r k", line 2 = edge_count color ids; no more
 
     def to_text(self) -> str:
         p = self.params
@@ -174,6 +174,8 @@ class Coloring:
         lines = text.split("\n")
         if len(lines) < 2:
             raise ValueError("coloring text needs a header line and a color line")
+        if any(line.strip() for line in lines[2:]):
+            raise ValueError("coloring text has content past its color line")
         head = lines[0].split()
         if len(head) != 3:
             raise ValueError(f"malformed header {lines[0]!r}, expected 'n r k'")

@@ -179,3 +179,29 @@ def test_exhaust_past_the_recursion_limit_is_one_line(capsys):
         harness._vertex_masks.cache_clear()  # about 60 MB of (1000, 2) masks
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: recursion too deep")
+
+
+def test_content_past_the_documented_lines_is_one_error_line(tmp_path, capsys):
+    coloring_path = tmp_path / "c.txt"
+    coloring_path.write_text("4 3 1\n1 1 1 1\n2 2 2\n")
+    cycle_path = tmp_path / "cycle.txt"
+    cycle_path.write_text("0 1 2 3\n0 3 2 1\n1\nzzz\n")
+    good = tmp_path / "good.txt"
+    good.write_text("4 3 1\n1 1 1 1\n")
+    for argv in [("search", str(coloring_path)), ("verify", str(good), str(cycle_path))]:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
+        assert "past its color line" in err[0], argv
+
+
+def test_trailing_blank_lines_still_load(tmp_path, capsys):
+    coloring = case1_fixture()
+    assert Coloring.from_text(coloring.to_text()) == coloring
+    assert Coloring.from_text(coloring.to_text() + "\n \t\n") == coloring
+    coloring_path = tmp_path / "c.txt"
+    coloring_path.write_text("4 3 1\n1 1 1 1\n\n")
+    cycle_path = tmp_path / "cycle.txt"
+    cycle_path.write_text("\n0 1 2 3\n\n0 3 2 1\n1\n\n")
+    assert run("verify", str(coloring_path), str(cycle_path)) == 0
+    assert capsys.readouterr().out == "valid\n"

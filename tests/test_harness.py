@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -9,6 +10,7 @@ import pytest
 from bergeham import (
     Coloring,
     HyperParams,
+    Violation,
     exhaustive_verify,
     find_mono_berge,
     gen_coloring,
@@ -526,12 +528,16 @@ class TestExhaustiveVerify:
         p = HyperParams(6, 5, 2)
         serial = exhaustive_verify(p, shards=64)
         pooled = exhaustive_verify(p, shards=64, workers=64)
-        assert sizes == [min(64, os.cpu_count() or 1)]
+        # a pool of one process is the serial path, so a one-CPU host starts none
+        cpus = min(64, os.cpu_count() or 1)
+        assert sizes == ([cpus] if cpus > 1 else [])
+        sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert exhaustive_verify(p, shards=64, workers=64).to_json() == serial.to_json()
+        assert exhaustive_verify(p, workers=4).to_json() == exhaustive_verify(p).to_json()
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert exhaustive_verify(p, shards=64, workers=64).to_json() == serial.to_json()
-        assert sizes[1:] == [3, 1]
+        assert sizes == [3]
         assert pooled.to_json() == serial.to_json()
 
     def test_workers_match_serial(self):
@@ -539,6 +545,74 @@ class TestExhaustiveVerify:
         serial = exhaustive_verify(p, shards=4)
         parallel = exhaustive_verify(p, shards=4, workers=2)
         assert serial.to_json() == parallel.to_json()
+
+
+class TestCertificateStep:
+    """Every cycle the search, the oracle and the sweep find passes
+    `verify_berge_cycle`, reached through `harness`, before it is reported."""
+
+    @pytest.fixture(autouse=True)
+    def rejecting(self, monkeypatch):
+        def reject(cycle, coloring):
+            return Violation("containment", 1)
+
+        monkeypatch.setattr(harness, "verify_berge_cycle", reject)
+
+    def test_search(self):
+        coloring = gen_coloring(HyperParams(6, 3, 1), "uniform")
+        with pytest.raises(RuntimeError, match="^search produced an invalid cycle: containment"):
+            find_mono_berge(coloring)
+
+    def test_oracle(self):
+        coloring = gen_coloring(HyperParams(6, 3, 1), "uniform")
+        with pytest.raises(RuntimeError, match="^oracle produced an invalid cycle: containment"):
+            naive_oracle(coloring)
+
+    def test_sweep(self):
+        with pytest.raises(RuntimeError, match="^sweep produced an invalid cycle: containment"):
+            exhaustive_verify(HyperParams(5, 4, 3))
+
+    def test_one_coloring_sweep_goes_through_the_oracle(self):
+        with pytest.raises(RuntimeError, match="^oracle produced an invalid cycle: containment"):
+            exhaustive_verify(HyperParams(5, 3, 1))
+
+
+def test_oracle_builds_no_coloring(monkeypatch):
+    # the oracle checks a found cycle on the coloring it was handed
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Coloring(*args)
+
+    coloring = gen_coloring(HyperParams(6, 3, 2), "uniform", color=2)
+    monkeypatch.setattr(harness, "Coloring", counted)
+    report = naive_oracle(coloring)
+    assert (report.verdict, report.color, built) == ("found", 2, [])
+
+
+def test_sweep_decider_agrees_with_the_search_on_its_own_masks(monkeypatch):
+    # every color mask the sweep's decider is asked about, as color 1 of a
+    # 2-coloring: find_mono_berge, which shares no decision code with the
+    # decider, tries color 1 first and finds it exactly when the decider does
+    asked: dict = {}
+
+    def spy(n, r, allowed, _real=harness._berge_cycle):
+        found = _real(n, r, allowed)
+        asked[(n, r, allowed)] = found is not None
+        return found
+
+    monkeypatch.setattr(harness, "_berge_cycle", spy)
+    for shape, hi in [((5, 3, 3), 3**10), ((7, 5, 2), 2**21), ((6, 4, 3), 3**11)]:
+        harness._sweep_range(HyperParams(*shape), 0, hi)
+    distinct = Counter((n, r) for n, r, _ in asked)
+    assert distinct == {(5, 3): 669, (7, 5): 3523, (6, 4): 1488}
+    for (n, r, allowed), found in asked.items():
+        p = HyperParams(n, r, 2)
+        colors = [1 if allowed >> t & 1 else 2 for t in range(p.edge_count)]
+        report = find_mono_berge(Coloring(p, colors))
+        assert report.verdict != "undecided"
+        assert (report.color == 1) == found, (n, r, allowed)
 
 
 class TestGenColoring:
