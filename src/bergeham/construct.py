@@ -26,7 +26,7 @@ import numpy as np
 from .extend import build_candidates, distinct_representatives, extend_greedy_ordered, extend_matching
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
-from .hypercore import BergeCycle, Coloring, rank_edge, unrank_edge
+from .hypercore import BergeCycle, Coloring, _rows_through, rank_edge, unrank_edge
 from .shadow import ColorProfile, _degree_bound, _greedy_avoiding, avoids
 
 GAMMA_NODE_BUDGET = 2_000_000
@@ -115,9 +115,7 @@ def witness_search(
         raise ValueError("witness search needs the (r-1)-coloring setting k = r-1")
     d_bound = _degree_bound(d_bound, p.r)
     all_colors = list(range(1, k + 1))
-    ubar = {
-        x: [profile.ubar_size(x, i) for i in all_colors] for x in range(n)
-    }
+    ubar = profile._ubar.tolist()  # ubar[x][i-1] = |Ubar_i(x)|
     xs = sorted(range(n), key=lambda x: (-max(ubar[x]), x))
     for f in range(p.r - 2, -1, -1):
         for x in xs:
@@ -188,7 +186,8 @@ class GammaBundle:
                 raise ValueError(
                     f"reserved hyperedge {h} misses an endpoint of ({u},{v})"
                 )
-            if profile.coloring.color_of(h) != self.target_color:
+            # unrank_edge has already checked h
+            if profile.coloring.colors[h] != self.target_color:
                 raise ValueError(f"reserved hyperedge {h} has the wrong color")
         if self.case_tag == 2:
             r, n = p.r, p.n
@@ -289,8 +288,10 @@ def _repair_degrees(
     through it (`edges`, member `rows`) that no gamma edge reserves yet,
     lowest first, each with a contact vertex outside `exclusion`, v, v's
     neighbors and contacts, and the vertices that took v as a contact; the
-    new gamma edge is reserved.  Returns the added edges, t and d per vertex,
-    and the vertices of the hyperedges taken.
+    new gamma edge is reserved.  Only a vertex with t > 0 reads the class:
+    its rows through v come from one compare per column (`_rows_through`).
+    Returns the added edges, t and d per vertex, and the vertices of the
+    hyperedges taken.
     """
     r = rows.shape[1]  # members per hyperedge
     used = set(reserved.values())
@@ -303,8 +304,10 @@ def _repair_degrees(
         d = graph.degree(v)
         degrees.append(d)
         counts.append(max(0, 2 * r + 1 - d))
+        if not counts[-1]:
+            continue
         blocked = exclusion | {v} | set(graph.neighbors(v)) | partners.get(v, set())
-        through = (rows == v).any(axis=1)
+        through = _rows_through(rows, v)
         # one ascending pass serves every step: `used` and `blocked` only
         # grow, so an edge passed over stays unusable
         pool = zip(edges[through].tolist(), map(np.ndarray.tolist, rows[through]))

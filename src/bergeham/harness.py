@@ -505,8 +505,12 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             mine = owned[c] | bit
             found = _berge_cycle(n, r, mine)
             if found is not None:
-                first = Coloring(params, _digits(a, count, k))
-                _checked(BergeCycle(*found, c + 1), first, "sweep")
+                # every completion holds the cycle only if its edges lie in
+                # `mine`, so it is checked on the completion that gives color
+                # c to no later edge: each later digit is (c + 1) % k
+                other = start + (c + 1) % k * ((size - 1) // (k - 1))
+                _checked(BergeCycle(*found, c + 1),
+                         Coloring(params, _digits(other, count, k)), "sweep")
                 got = b - a
             elif j + 1 == count:
                 fail(a, b)
@@ -554,10 +558,12 @@ def exhaustive_verify(
     decider `_berge_cycle` settles success subtrees.  When edge j's color c
     closes a c-cycle among the edges colored so far (it must use edge j,
     since the parent node had no c-cycle), every completion succeeds: the
-    subtree's colorings in range are counted and the cycle is checked once
-    (`_checked`), on the first of them.  Otherwise the walk goes on to edge
-    j + 1, so a coloring reached as a leaf has no monochromatic cycle and
-    fails; the failures are kept in counter order.
+    subtree's colorings in range are counted.  The cycle is checked once
+    (`_checked`), on the subtree's coloring that gives c to no edge after j:
+    passing there shows that its edges lie among the prefix's c-edges, so
+    every completion holds it.  Otherwise the walk goes on to edge j + 1, so
+    a coloring reached as a leaf has no monochromatic cycle and fails; the
+    failures are kept in counter order.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
     subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps

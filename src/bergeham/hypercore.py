@@ -124,8 +124,16 @@ def pair_supersets(u: int, v: int, params: HyperParams) -> list[int]:
     """
     _check_args(params, (u, v))
     members = edge_members(params.n, params.r)
-    hit = (members == u).any(axis=1) & (members == v).any(axis=1)
-    return np.flatnonzero(hit).tolist()
+    return np.flatnonzero(_rows_through(members, u) & _rows_through(members, v)).tolist()
+
+
+def _rows_through(rows: np.ndarray, v: int) -> np.ndarray:
+    """Boolean mask of the member rows (one edge per row) that hold vertex v,
+    from one compare per column."""
+    hit = rows[:, 0] == v
+    for j in range(1, rows.shape[1]):
+        hit |= rows[:, j] == v
+    return hit
 
 
 class Coloring:

@@ -39,13 +39,18 @@ def _degree_bound(d_bound: Optional[int], r: int) -> int:
     return d_bound
 
 
-class ColorProfile:
-    """Per-pair color counts, good-color sets, and color degrees for a coloring.
+_PROFILE_BLOCK = 1 << 13  # member rows per `ColorProfile` counting block
 
-    Built in one vectorized pass over all hyperedges; all queries afterwards
-    are read-only and pass their vertices and colors through
-    `hypercore._check_args`.  A good threshold that is not an integer of at
-    least 1 raises ValueError.
+
+class ColorProfile:
+    """Per-pair color counts, good-color sets, color degrees and |Ubar_i(x)|
+    for a coloring.
+
+    The pair counts are summed over the member table `_PROFILE_BLOCK` edges
+    at a time, one `bincount` per block and column pair, so the temporaries
+    stay a block long; all queries afterwards are read-only and pass their
+    vertices and colors through `hypercore._check_args`.  A good threshold
+    that is not an integer of at least 1 raises ValueError.
     """
 
     def __init__(self, coloring: Coloring, good_threshold: Optional[int] = None):
@@ -55,18 +60,29 @@ class ColorProfile:
         _check_int("good_threshold", self.good_threshold, 1)
         n, r, k = p.n, p.r, p.k
         edges = edge_members(n, r)
-        ci = coloring.colors.astype(np.intp) - 1
+        colors = coloring.colors
         # counts[u, v, i-1] = color-i hyperedges through u and v; rows are
         # ascending, so the loop fills u < v and the transpose the rest
         counts = np.zeros(n * n * k, dtype=np.int64)
-        for a, b in combinations(range(r), 2):
-            cell = (edges[:, a].astype(np.intp) * n + edges[:, b]) * k + ci
-            counts += np.bincount(cell, minlength=counts.size)
+        for lo in range(0, len(edges), _PROFILE_BLOCK):
+            block = slice(lo, lo + _PROFILE_BLOCK)
+            cols = edges[block].T.astype(np.intp, order="C")
+            # columns a < b put an edge of color i in cell (u n + v) k + i-1,
+            # heads[a] + tails[b-1]: heads are columns 0..r-2 times nk plus
+            # i-1, tails columns 1..r-1 times k
+            heads = cols[:-1] * (n * k)
+            heads += colors[block] - 1
+            tails = cols[1:]
+            tails *= k
+            for a, b in combinations(range(r), 2):
+                counts += np.bincount(heads[a] + tails[b - 1], minlength=counts.size)
         counts = counts.reshape(n, n, k)
         counts = counts + counts.transpose(1, 0, 2)
         self._good = counts >= self.good_threshold
         # each color-i hyperedge through x holds r-1 other vertices
         self._deg = counts.sum(axis=1) // (r - 1)
+        # the zero diagonal is never good, so x is not counted among the good
+        self._ubar = n - 1 - np.count_nonzero(self._good, axis=1)
 
     @property
     def params(self):
@@ -94,8 +110,7 @@ class ColorProfile:
 
     def ubar_size(self, x: int, i: int) -> int:
         _check_args(self.params, (x,), (i,))
-        # the zero diagonal is never good, so x is not counted among the good
-        return self.params.n - 1 - int(np.count_nonzero(self._good[x, :, i - 1]))
+        return int(self._ubar[x, i - 1])
 
 
 def avoids(

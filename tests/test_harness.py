@@ -591,6 +591,24 @@ def test_oracle_builds_no_coloring(monkeypatch):
     assert (report.verdict, report.color, built) == ("found", 2, [])
 
 
+@pytest.mark.parametrize("shape", [(5, 4, 3), (6, 5, 2), (5, 3, 3)])
+def test_sweep_refuses_a_cycle_off_its_prefix(shape, monkeypatch):
+    # a decider that, finding nothing on the prefix's edges, allows every
+    # edge past j; a sweep checking its cycles only on the subtree's first
+    # coloring, whose later edges all have color 1, would pass them and
+    # count every coloring as a success (243/0 instead of 3/240 at (5,4,3))
+    def past_j(n, r, allowed, _real=harness._berge_cycle):
+        found = _real(n, r, allowed)
+        if found is None:
+            later = (1 << comb(n, r)) - (1 << allowed.bit_length())
+            found = _real(n, r, allowed | later)
+        return found
+
+    monkeypatch.setattr(harness, "_berge_cycle", past_j)
+    with pytest.raises(RuntimeError, match="^sweep produced an invalid cycle"):
+        exhaustive_verify(HyperParams(*shape))
+
+
 def test_sweep_decider_agrees_with_the_search_on_its_own_masks(monkeypatch):
     # every color mask the sweep's decider is asked about, as color 1 of a
     # 2-coloring: find_mono_berge, which shares no decision code with the

@@ -14,7 +14,12 @@ from bergeham import (
     gen_coloring,
 )
 from bergeham.hypercore import iter_colex_edges, rank_edge
-from bergeham.shadow import ColorProfile, _greedy_avoiding, default_degree_bound
+from bergeham.shadow import (
+    _PROFILE_BLOCK,
+    ColorProfile,
+    _greedy_avoiding,
+    default_degree_bound,
+)
 from conftest import NON_INTEGER_IDS, NON_INTEGERS, color_degree
 
 
@@ -86,10 +91,13 @@ class TestColorDegree:
 
     def test_profile_agrees_with_direct_count(self):
         # brute-force pair and vertex counts from the colex edge list, at
-        # r = 2, r = n and two paper-sized shapes, against every profile query
+        # r = 2, r = n and paper-sized shapes, against every profile query;
+        # (17,5) fills less than one counting block and (18,5) spills past it
+        assert comb(17, 5) < _PROFILE_BLOCK < comb(18, 5)
         colorings = [striped(6, 3, 3)] + [
             gen_coloring(HyperParams(*shape), "random", seed=7)
-            for shape in [(6, 2, 3), (5, 5, 2), (12, 5, 4), (24, 5, 4)]
+            for shape in [(6, 2, 3), (5, 5, 2), (12, 5, 4), (17, 5, 4), (18, 5, 4),
+                          (24, 5, 4)]
         ]
         for c in colorings:
             n, r, k = c.params.n, c.params.r, c.params.k
@@ -103,6 +111,7 @@ class TestColorDegree:
                     assert color_degree(x, i, c) == degrees[x, i]
             for threshold in (1, 2, 3):
                 prof = ColorProfile(c, good_threshold=threshold)
+                assert prof._ubar.shape == (n, k)
                 good = {(u, v, i) for (u, v, i), m in pairs.items() if m >= threshold}
                 for u, v in combinations(range(n), 2):
                     expect = {i for i in range(1, k + 1) if (u, v, i) in good}
@@ -118,7 +127,7 @@ class TestColorDegree:
                             if y != x and (min(x, y), max(x, y), i) not in good
                         }
                         assert prof.ubar_set(x, i) == ubar
-                        assert prof.ubar_size(x, i) == len(ubar)
+                        assert prof.ubar_size(x, i) == prof._ubar[x, i - 1] == len(ubar)
 
     def test_out_of_range(self):
         c = uniform(5, 3)
