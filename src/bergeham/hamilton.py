@@ -181,6 +181,8 @@ def _cycle_orders(
     SearchBudgetExceeded.  With a hook, each tree edge (v, w) is pushed before
     the search descends to w, and the closing pair (v_{n-1}, v_0) before a
     cycle is yielded; a refused push cuts that subtree or that cycle.
+    The nested `step` is deleted once the enumeration ends, finished or
+    closed early, so a search leaves no reference cycle for the collector.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -223,7 +225,10 @@ def _cycle_orders(
             if hook is not None:
                 hook.pop()
 
-    yield from step(0, 1)
+    try:
+        yield from step(0, 1)
+    finally:
+        del step  # `step` refers to itself; drop it so no reference cycle is left
 
 
 def find_hamiltonian_cycle(

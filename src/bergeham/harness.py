@@ -10,16 +10,18 @@ per-vertex class-edge bitmasks, `_ClassPools`, which give the support graph,
 the matcher's pools and the look-ahead.  It falls back to the constructive
 pipeline when budgets bite.
 `naive_oracle` is the deliberately independent ground truth (permutations
-plus brute-force SDR over pools read from its own cached per-vertex edge
-bitmasks, no graph machinery, in `_berge_cycle`, which decides one color's
-edge mask), and `exhaustive_verify` sweeps an entire coloring space with the
-same decider, deciding whole subtrees of colorings at once and counting a
-subtree that differs from a walked one only by swapping two colors its
-prefix leaves unused without walking it.  The search, the oracle and the
-sweep hand every cycle they find to one certificate step, `_checked`.
+plus brute-force SDR over bitmask pools, each the AND of two vertices' masks
+in its own cached per-vertex edge bitmasks, no graph machinery, in
+`_berge_cycle`, which decides one color's edge mask), and
+`exhaustive_verify` sweeps an entire coloring space with the same decider,
+deciding whole subtrees of colorings at once, asking the decider once per
+distinct color mask in a shard, and counting a subtree that differs from a
+walked one only by swapping two colors its prefix leaves unused without
+walking it.  The search, the oracle and the sweep hand every cycle they find
+to one certificate step, `_checked`.
 
-Budgets are node expansions plus matching augmentations; wall clock never
-influences a verdict.
+Budgets are node expansions plus matching augmentations, and for a sweep
+shard walk nodes plus decider calls; wall clock never influences a verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .hypercore import (
 )
 
 NAIVE_MAX_N = 9
-MAX_SWEEP_COLORINGS = 5_000_000
+SWEEP_BUDGET = 2_000_000  # walk nodes plus decider calls per sweep shard
 
 
 @dataclass
@@ -99,27 +101,32 @@ def paper_threshold(r: int) -> int:
     return value
 
 
-def _sdr_search(pools: list[list[int]]) -> Optional[list[int]]:
-    """Brute-force system of distinct representatives, fewest options first."""
-    sizes = [len(pool) for pool in pools]
+def _sdr_search(pools: list[int]) -> Optional[list[int]]:
+    """Brute-force system of distinct representatives of bitmask pools (bit
+    t set: option t), or None.  Pools are placed fewest options first, each
+    trying its free options lowest first; entry i of the answer is pool i's
+    option.  `_place` recurses once per pool; it is a module function, not a
+    closure, so a call leaves no reference cycle behind."""
+    sizes = [pool.bit_count() for pool in pools]
     order = sorted(range(len(pools)), key=sizes.__getitem__)
     choice = [0] * len(pools)
-    used: set[int] = set()
+    return choice if _place(pools, order, choice, 0, 0) else None
 
-    def place(j: int) -> bool:
-        if j == len(order):
+
+def _place(pools: list[int], order: list[int], choice: list[int], j: int, used: int) -> bool:
+    """Place pools order[j:] on options outside `used`, recording each in
+    `choice`; False when they do not fit."""
+    if j == len(order):
+        return True
+    i = order[j]
+    m = pools[i] & ~used
+    while m:
+        low = m & -m
+        if _place(pools, order, choice, j + 1, used | low):
+            choice[i] = low.bit_length() - 1
             return True
-        i = order[j]
-        for e in pools[i]:
-            if e not in used:
-                used.add(e)
-                choice[i] = e
-                if place(j + 1):
-                    return True
-                used.remove(e)
-        return False
-
-    return choice if place(0) else None
+        m ^= low
+    return False
 
 
 def _packed_masks(n: int, rows: np.ndarray) -> list[int]:
@@ -149,38 +156,34 @@ def _berge_cycle(
     It refuses at once when fewer than n edges are allowed or some vertex
     lies in fewer than two of them.  Otherwise it tries every core up to
     rotation/reflection, in permutation order, with brute-force distinct
-    representatives.  A pair's pool, its ascending allowed edges, is read
-    off the cached per-vertex edge bitmasks the first time a core needs it."""
+    representatives.  Every pool is a bitmask: a pair's allowed edges are
+    the AND of its two vertices' allowed-edge masks, read off the cached
+    per-vertex edge bitmasks, and `_sdr_search` takes them lowest first."""
     if allowed.bit_count() < n:
         return None
-    vm = _vertex_masks(n, r)
-    for mask in vm:
-        mask &= allowed
+    va = [mask & allowed for mask in _vertex_masks(n, r)]
+    for mask in va:
         if not mask & (mask - 1):
             return None
-    filled: dict[tuple[int, int], list[int]] = {}
+    v0 = va[0]
     for perm in permutations(range(1, n)):
         if n > 2 and perm[0] > perm[-1]:
             continue  # reflection representative
-        core = (0,) + perm
         pools = []
-        for a, b in zip(core, perm + (0,)):
-            pair = (a, b) if a < b else (b, a)
-            pool = filled.get(pair)
-            if pool is None:
-                pool = filled[pair] = []
-                m = vm[a] & vm[b] & allowed
-                while m:
-                    low = m & -m
-                    pool.append(low.bit_length() - 1)
-                    m ^= low
+        prev = v0
+        for b in perm:
+            pool = prev & va[b]
             if not pool:
                 break
             pools.append(pool)
+            prev = va[b]
         else:
-            sdr = _sdr_search(pools)
-            if sdr is not None:
-                return core, tuple(sdr)
+            pool = prev & v0  # the closing pair
+            if pool:
+                pools.append(pool)
+                sdr = _sdr_search(pools)
+                if sdr is not None:
+                    return (0,) + perm, tuple(sdr)
     return None
 
 
@@ -471,23 +474,41 @@ def _digits(m: int, length: int, k: int) -> list[int]:
     return out
 
 
-def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
-    """Classify the colorings at counter values [lo, hi) of the sweep order
-    by a walk of the prefix tree (see `exhaustive_verify`)."""
-    n, r, k, count = params.n, params.r, params.k, params.edge_count
-    examples: list[str] = []
-    stored = ExhaustReport.MAX_STORED
+class _Walk:
+    """The prefix-tree walk of one shard's counter range [lo, hi) (see
+    `exhaustive_verify`).  Its state lives on the instance and `walk` is a
+    method, not a closure, so a finished walk leaves no reference cycle, and
+    its memo goes when the instance does."""
 
-    def fail(a: int, b: int) -> None:  # keep the failing colorings [a, b)
-        for m in range(a, min(b, a + stored - len(examples))):
-            examples.append(" ".join(map(str, _digits(m, count, k))))
+    def __init__(self, params: HyperParams, lo: int, hi: int):
+        self.params, self.lo, self.hi = params, lo, hi
+        self.owned = [0] * params.k  # per color (0-based): the prefix edges it holds
+        self.prefix = [0] * params.edge_count  # colors 1..k of the edges above the node
+        self.answers: dict[int, tuple] = {}  # mask -> decider's answer, () for none
+        self.checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
+        self.examples: list[str] = []
+        self.units = 0  # walk nodes plus decider calls
 
-    owned = [0] * k  # per color (0-based): the edges of the prefix it holds
+    def spend(self) -> None:
+        """Count one unit of work; past `SWEEP_BUDGET` the shard is refused."""
+        self.units += 1
+        if self.units > SWEEP_BUDGET:
+            p = self.params
+            raise ValueError(
+                f"a ({p.n},{p.r},{p.k}) sweep shard passed the {SWEEP_BUDGET}-unit "
+                "sweep budget (walk nodes plus decider calls); narrow the "
+                "parameters or add shards"
+            )
 
-    def walk(j: int, base: int) -> int:
-        """Give edge j each color under the prefix of edges 0..j-1 held in
-        `owned`, whose subtree starts at counter `base`; return the subtree's
-        successes in range."""
+    def walk(self, j: int, base: int) -> int:
+        """Give edge j each color under the prefix of edges 0..j-1, whose
+        subtree starts at counter `base`; return the subtree's successes in
+        range."""
+        self.spend()
+        p = self.params
+        k, count = p.k, p.edge_count
+        lo, hi, owned, prefix = self.lo, self.hi, self.owned, self.prefix
+        answers, examples, stored = self.answers, self.examples, ExhaustReport.MAX_STORED
         size = k ** (count - j - 1)
         bit = 1 << j
         success = 0
@@ -503,35 +524,59 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
                 success += twin
                 continue
             mine = owned[c] | bit
-            found = _berge_cycle(n, r, mine)
-            if found is not None:
+            found = answers.get(mine)
+            if found is None:
+                self.spend()
+                found = answers[mine] = _berge_cycle(p.n, p.r, mine) or ()
+            if found:
                 # every completion holds the cycle only if its edges lie in
-                # `mine`, so it is checked on the completion that gives color
-                # c to no later edge: each later digit is (c + 1) % k
-                other = start + (c + 1) % k * ((size - 1) // (k - 1))
-                _checked(BergeCycle(*found, c + 1),
-                         Coloring(params, _digits(other, count, k)), "sweep")
+                # `mine`, so it is checked, once per mask and color, on the
+                # completion that gives color c to no later edge
+                if (mine, c) not in self.checked:
+                    row = prefix[:j] + [c + 1] + [(c + 1) % k + 1] * (count - j - 1)
+                    _checked(BergeCycle(*found, c + 1), Coloring(p, row), "sweep")
+                    self.checked.add((mine, c))
                 got = b - a
-            elif j + 1 == count:
-                fail(a, b)
+            elif j + 1 == count:  # a leaf: one failing coloring
+                if len(examples) < stored:
+                    examples.append(" ".join(map(str, prefix[:j] + [c + 1])))
                 got = 0
             else:
                 owned[c] = mine
-                got = walk(j + 1, start)
+                prefix[j] = c + 1
+                got = self.walk(j + 1, start)
                 owned[c] = mine ^ bit
             if fresh:
                 twin = got
             success += got
         return success
 
+
+def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
+    """Classify the colorings at counter values [lo, hi) of the sweep order
+    by a walk of the prefix tree (see `exhaustive_verify`)."""
     if hi - lo > 1:
-        success = walk(0, 0)
-    elif _decide_exact(Coloring(params, _digits(lo, count, k))).verdict == "found":
-        success = 1
-    else:
-        success = 0
-        fail(lo, hi)
-    return success, hi - lo - success, examples
+        walk = _Walk(params, lo, hi)
+        try:
+            success = walk.walk(0, 0)
+        except RecursionError:  # the walk recurses once per edge
+            raise ValueError(
+                f"the ({params.n},{params.r},{params.k}) sweep walks past Python's "
+                "recursion limit, one level per edge; narrow the parameters"
+            ) from None
+        return success, hi - lo - success, walk.examples
+    row = _digits(lo, params.edge_count, params.k)
+    if _decide_exact(Coloring(params, row)).verdict == "found":
+        return 1, 0, []
+    return 0, 1, [" ".join(map(str, row))][:ExhaustReport.MAX_STORED]
+
+
+def _least_units(params: HyperParams, shards: int) -> int:
+    """(d - J)(d - J + 1), a lower bound on the units the first shard's walk
+    spends (see `exhaustive_verify`), from C(n-1, r) and the shard count
+    alone, so k^C(n,r) is never built; 0 at k = 1, where nothing is walked."""
+    d, J = comb(params.n - 1, params.r), int(shards).bit_length() + 1
+    return (d - J) * (d - J + 1) if params.k > 1 and d > J else 0
 
 
 def exhaustive_verify(
@@ -558,12 +603,18 @@ def exhaustive_verify(
     decider `_berge_cycle` settles success subtrees.  When edge j's color c
     closes a c-cycle among the edges colored so far (it must use edge j,
     since the parent node had no c-cycle), every completion succeeds: the
-    subtree's colorings in range are counted.  The cycle is checked once
-    (`_checked`), on the subtree's coloring that gives c to no edge after j:
+    subtree's colorings in range are counted.  The cycle is checked
+    (`_checked`) on the subtree's coloring that gives c to no edge after j:
     passing there shows that its edges lie among the prefix's c-edges, so
     every completion holds it.  Otherwise the walk goes on to edge j + 1, so
     a coloring reached as a leaf has no monochromatic cycle and fails; the
     failures are kept in counter order.
+
+    The decider's answer depends only on the mask of c-edges, and the same
+    mask comes back under many prefixes that differ in the other colors.  So
+    a shard keeps a memo from mask to answer: the decider runs once per
+    distinct mask, and a cycle is checked once per distinct (mask, color).
+    The memo lives as long as the shard's walk.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
     subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps
@@ -578,6 +629,19 @@ def exhaustive_verify(
     nothing: only the root leaves two colors unused.  A shard's failures
     are its range size minus its successes.
 
+    Each shard's walk may spend `SWEEP_BUDGET` units of work: one per walk
+    node and one per decider call, memo hits free.  It counts them as it
+    goes and raises ValueError once it passes the budget, so the refusal
+    does not depend on timing.  A space whose walk must pass it is refused
+    before any table is built: with d = C(n-1, r), the first edge that holds
+    vertex n-1, and J = 1 + the bit length of `shards`, the first shard
+    walks, for each J <= j < d, the subtree "edges 0..j-1 color 1, edge j
+    color 2" down its first path to edge d, since no color holds a cycle
+    before vertex n-1 is covered; that is d - j nodes, each deciding a
+    color-1 mask not asked before, so (d - J)(d - J + 1) units in all.  The
+    walk recurses once per edge, so one that passes Python's recursion limit
+    first (C(n-1, r) near 1000) is refused with ValueError too.
+
     A shard of a single coloring, so every k = 1 sweep, builds that one
     `Coloring` and is decided directly by `naive_oracle`'s decider: a walk
     would call the decider on every prefix of that coloring's edges (about
@@ -585,16 +649,17 @@ def exhaustive_verify(
     a process pool of min(workers, shards, os.cpu_count()) processes, or
     serially when that is 1.
     """
-    edges, bits = params.edge_count, MAX_SWEEP_COLORINGS.bit_length()
-    # k >= 2 colors on `bits` edges exceed the cap: decide it without a huge power
-    total = params.k ** min(edges, bits)
-    if total > MAX_SWEEP_COLORINGS:
-        count = f"{params.k}^{edges}" + (f" = {total}" if edges <= bits else "")
-        raise ValueError(
-            f"{count} colorings exceed the {MAX_SWEEP_COLORINGS} cap; narrow the parameters"
-        )
-    _check_int("shards", shards, 1, total)
+    n, r, k, edges = params.n, params.r, params.k, params.edge_count
     _check_int("workers", workers, 1)
+    _check_int("shards", shards, 1)
+    least = _least_units(params, shards)
+    if least > SWEEP_BUDGET:
+        raise ValueError(
+            f"{k}^{edges} colorings: the first shard spends at least {least} "
+            f"units, past the {SWEEP_BUDGET}-unit sweep budget; narrow the parameters"
+        )
+    total = k ** edges
+    _check_int("shards", shards, 1, total)
     bounds = [total * i // shards for i in range(shards + 1)]
     args = ([params] * shards, bounds[:-1], bounds[1:])
     size = min(workers, shards, os.cpu_count() or 1)
@@ -608,8 +673,7 @@ def exhaustive_verify(
     success, failure, examples = zip(*parts)
     kept = list(islice(chain.from_iterable(examples), ExhaustReport.MAX_STORED))
     return ExhaustReport(
-        params.n, params.r, params.k, total, sum(success), sum(failure), kept,
-        list(zip(bounds, bounds[1:])),
+        n, r, k, total, sum(success), sum(failure), kept, list(zip(bounds, bounds[1:])),
     )
 
 

@@ -44,6 +44,11 @@ def color_degree(x: int, i: int, coloring: Coloring) -> int:
     return count
 
 
+def as_mask(pool) -> int:
+    """An ascending list of edge indices as a bitmask: bit t for edge t."""
+    return sum(1 << t for t in pool)
+
+
 def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int]]:
     """Map each vertex pair (u, v), u < v, to the ascending edges of one color
     class that contain it."""

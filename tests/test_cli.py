@@ -66,16 +66,33 @@ def test_exhaust_report(tmp_path, capsys):
     assert run("exhaust", "--n", "4", "--r", "3", "--k", "1") == 0
 
 
-def test_exhaust_infeasible_exit_code(capsys):
-    assert run("exhaust", "--n", "6", "--r", "3", "--k", "3") == 2
-    assert "infeasible" in capsys.readouterr().err
+def test_exhaust_infeasible_exit_code(capsys, monkeypatch):
+    # (5,3,3)'s walk spends 4 004 units, one past this budget
+    monkeypatch.setattr(harness, "SWEEP_BUDGET", 4003)
+    assert run("exhaust", "--n", "5", "--r", "3", "--k", "3") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("infeasible: a (5,3,3) sweep shard passed the 4003-unit")
 
 
 def test_exhaust_cap_refused_before_the_power(capsys):
+    # d = C(2999, 2) = 4 495 501 and J = 2, so at least 4 495 499 * 4 495 500
+    # units, decided without building 3^4498500 or any table
     assert run("exhaust", "--n", "3000", "--r", "2", "--k", "3") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["infeasible: 3^4498500 colorings exceed the 5000000 cap; "
-                   "narrow the parameters"]
+    assert err == ["infeasible: 3^4498500 colorings: the first shard spends at least "
+                   f"{4495499 * 4495500} units, past the 2000000-unit sweep "
+                   "budget; narrow the parameters"]
+
+
+def test_exhaust_past_the_recursion_limit_is_infeasible(capsys):
+    # d = C(45, 2) = 990: the up-front bound, 988 * 989 units, is within the
+    # budget, but the walk must recurse through edge 990 before any color
+    # can hold a cycle
+    assert run("exhaust", "--n", "46", "--r", "2", "--k", "2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["infeasible: the (46,2,2) sweep walks past Python's recursion "
+                   "limit, one level per edge; narrow the parameters"]
 
 
 @pytest.mark.parametrize("flag, value", [("--shards", "1000000000"), ("--workers", "0")])

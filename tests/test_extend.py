@@ -18,7 +18,7 @@ from bergeham.extend import PrefixSDR, distinct_representatives
 from bergeham.fixtures import case1_fixture, case2_fixture
 from bergeham.harness import _sdr_search
 
-from conftest import NON_INTEGER_IDS, NON_INTEGERS, pair_edges
+from conftest import NON_INTEGER_IDS, NON_INTEGERS, as_mask, pair_edges
 from test_construct import PINNED_CYCLES
 
 
@@ -252,7 +252,7 @@ class TestDistinctRepresentatives:
             pools = random_pools(rng)
             now, before = [0], [0]
             got = distinct_representatives(pools, now)
-            assert (got is None) == (_sdr_search(pools) is None)
+            assert (got is None) == (_sdr_search(list(map(as_mask, pools))) is None)
             assert got == representatives_unstopped(pools, before)
             assert now[0] <= before[0]
             saved += before[0] - now[0]
@@ -290,7 +290,7 @@ class TestPrefixSDR:
                     before = sdr.representatives()
                     accepted = sdr.push(u, v)
                     pushes += 1
-                    assert accepted == (_sdr_search(pools) is not None)
+                    assert accepted == (_sdr_search(list(map(as_mask, pools))) is not None)
                     if accepted:
                         held.append((u, v))
                     else:

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from functools import lru_cache
@@ -405,16 +406,46 @@ class TestExhaustiveVerify:
         for line in rep.counterexamples[:5]:
             assert naive_oracle(coloring_from_digits(p, line)).verdict == "not-found"
 
-    def test_infeasible_rejected_with_estimate(self):
+    def test_infeasible_rejected_with_estimate(self, monkeypatch):
+        # (5,3,3)'s walk spends 4 004 units (3 335 nodes and 669 decider
+        # calls): a budget one short refuses the shard, the exact one admits it
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 4003)
         with pytest.raises(ValueError) as err:
-            exhaustive_verify(HyperParams(6, 3, 3))
-        assert "3486784401" in str(err.value)
+            exhaustive_verify(HyperParams(5, 3, 3))
+        assert str(err.value).startswith(
+            "a (5,3,3) sweep shard passed the 4003-unit sweep budget")
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 4004)
+        rep = exhaustive_verify(HyperParams(5, 3, 3))
+        assert (rep.success, rep.failure) == (34299, 24750)
 
-    def test_cap_decided_without_the_power(self):
-        # 2^27405 has too many digits to print; the power is named instead
-        with pytest.raises(ValueError, match="5000000 cap") as err:
+    def test_cap_decided_without_the_power(self, monkeypatch):
+        # d = C(29, 4) = 23 751 and J = 2: the first shard spends at least
+        # 23 749 * 23 750 units; 2^27405 is never built, nor any table
+        def no_table(n, r):
+            raise AssertionError("a mask table was built")
+
+        monkeypatch.setattr(harness, "_vertex_masks", no_table)
+        with pytest.raises(ValueError, match="2000000-unit sweep budget") as err:
             exhaustive_verify(HyperParams(30, 4, 2))
-        assert str(err.value).startswith(f"2^{comb(30, 4)} colorings exceed")
+        assert str(err.value).startswith(
+            f"2^{comb(30, 4)} colorings: the first shard spends at least "
+            f"{23749 * 23750} units")
+
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 3, 2), (5, 2, 4), (7, 5, 2)])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_up_front_bound_never_passes_the_first_walk(self, shape, shards, monkeypatch):
+        # the refusal before any table is built rests on this lower bound
+        walks = []
+
+        class Recorded(harness._Walk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                walks.append(self)
+
+        monkeypatch.setattr(harness, "_Walk", Recorded)
+        p = HyperParams(*shape)
+        exhaustive_verify(p, shards=shards)
+        assert 0 < harness._least_units(p, shards) <= walks[0].units
 
     def test_monotone_under_extra_color(self):
         # a failing k-coloring read with an unused extra color still fails
@@ -448,8 +479,9 @@ class TestExhaustiveVerify:
         assert (rep.success, rep.failure) == (success, len(failures))
         assert rep.counterexamples == failures[:stored]
 
-    # _berge_cycle calls of a serial sweep: (shape, calls at shards=1, and the
-    # calls at shards 1 and 3 of a walk that reuses no subtree)
+    # _berge_cycle calls of a serial sweep: (shape, calls at shards=1 of a
+    # walk that reuses relabelled subtrees but keeps no memo, and the calls
+    # at shards 1 and 3 of a walk that reuses no subtree and keeps no memo)
     DECIDER_CALLS = [
         ((4, 3, 2), 30, (30, 35)),
         ((5, 4, 2), 62, (62, 69)),
@@ -460,11 +492,17 @@ class TestExhaustiveVerify:
         ((5, 3, 3), 9999, (59700, 59700)),
         ((7, 5, 2), 3523, (7046, 7072)),
     ]
+    # the calls at shards=1 with the shard's memo: one per distinct mask
+    MEMO_CALLS = {
+        (4, 3, 2): 15, (5, 4, 2): 31, (5, 4, 3): 31, (6, 4, 2): 995,
+        (5, 3, 2): 315, (6, 5, 2): 63, (5, 3, 3): 669, (7, 5, 2): 3523,
+    }
 
     @pytest.mark.parametrize("shape, calls, walked", DECIDER_CALLS)
     def test_relabelled_subtrees_save_decider_calls(self, shape, calls, walked, monkeypatch):
         # a whole subtree of a color unused by its prefix is counted from an
-        # earlier unused color's walk; a shard-cut subtree is walked
+        # earlier unused color's walk; a shard-cut subtree is walked; a mask
+        # the shard has already decided is answered from its memo
         made = [0]
 
         def spy(*args, _real=harness._berge_cycle):
@@ -477,7 +515,7 @@ class TestExhaustiveVerify:
             made[0] = 0
             exhaustive_verify(HyperParams(*shape), shards=shards)
             got.append(made[0])
-        assert got[0] == calls
+        assert got[0] == self.MEMO_CALLS[shape] <= calls
         assert all(now <= before for now, before in zip(got, walked))
 
     def test_pooled_sweep_matches_the_divmod_decoder(self):
@@ -545,6 +583,28 @@ class TestExhaustiveVerify:
         serial = exhaustive_verify(p, shards=4)
         parallel = exhaustive_verify(p, shards=4, workers=2)
         assert serial.to_json() == parallel.to_json()
+
+
+def test_sweep_oracle_and_search_leave_no_garbage():
+    # the sweep's walk, the decider's distinct-representative search and the
+    # backtracker's nested step leave no reference cycle, so with the
+    # collector off nothing is left for it to find
+    rng = random.Random(7)
+    colorings = [
+        Coloring(p, [rng.randint(1, p.k) for _ in range(p.edge_count)])
+        for p in (HyperParams(6, 3, 2), HyperParams(7, 3, 3)) for _ in range(5)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_verify(HyperParams(6, 4, 2))
+        exhaustive_verify(HyperParams(5, 3, 3))
+        for coloring in colorings:
+            naive_oracle(coloring)
+            find_mono_berge(coloring)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCertificateStep:

@@ -19,7 +19,7 @@ from bergeham import harness
 from bergeham.extend import PrefixSDR, build_candidates, extend_matching
 from bergeham.hamilton import iter_hamiltonian_cycles
 from bergeham.hypercore import edge_members, iter_colex_edges
-from conftest import pair_edges
+from conftest import as_mask, pair_edges
 
 from test_differential import SPACES
 
@@ -275,7 +275,7 @@ def has_matchable_completion(prefix, lists, n):
     rest = [v for v in range(n) if v not in prefix]
     for tail in permutations(rest):
         order = prefix + tail
-        pools = [lists[tuple(sorted((order[i], order[(i + 1) % n])))] for i in range(n)]
+        pools = [as_mask(lists[tuple(sorted((order[i], order[(i + 1) % n])))]) for i in range(n)]
         if all(pools) and harness._sdr_search(pools) is not None:
             return True
     return False
