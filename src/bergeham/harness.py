@@ -55,6 +55,9 @@ from .hypercore import (
 
 NAIVE_MAX_N = 9
 SWEEP_BUDGET = 2_000_000  # walk nodes plus decider calls per sweep shard
+BUDGET_MAX_N = 7  # the largest n at which the budget's unit was timed
+MAX_SWEEP_COLORINGS = 5_000_000  # colorings per sweep with n > BUDGET_MAX_N
+SWEEP_MEMO = 1 << 14  # decider answers a sweep shard keeps at once
 
 
 @dataclass
@@ -105,28 +108,29 @@ def _sdr_search(pools: list[int]) -> Optional[list[int]]:
     """Brute-force system of distinct representatives of bitmask pools (bit
     t set: option t), or None.  Pools are placed fewest options first, each
     trying its free options lowest first; entry i of the answer is pool i's
-    option.  `_place` recurses once per pool; it is a module function, not a
-    closure, so a call leaves no reference cycle behind."""
+    option.  The nested `place` recurses once per pool and is deleted before
+    the call returns, so a call leaves no reference cycle behind."""
     sizes = [pool.bit_count() for pool in pools]
     order = sorted(range(len(pools)), key=sizes.__getitem__)
     choice = [0] * len(pools)
-    return choice if _place(pools, order, choice, 0, 0) else None
 
-
-def _place(pools: list[int], order: list[int], choice: list[int], j: int, used: int) -> bool:
-    """Place pools order[j:] on options outside `used`, recording each in
-    `choice`; False when they do not fit."""
-    if j == len(order):
-        return True
-    i = order[j]
-    m = pools[i] & ~used
-    while m:
-        low = m & -m
-        if _place(pools, order, choice, j + 1, used | low):
-            choice[i] = low.bit_length() - 1
+    def place(j: int, used: int) -> bool:
+        if j == len(order):
             return True
-        m ^= low
-    return False
+        i = order[j]
+        m = pools[i] & ~used
+        while m:
+            low = m & -m
+            if place(j + 1, used | low):
+                choice[i] = low.bit_length() - 1
+                return True
+            m ^= low
+        return False
+
+    try:
+        return choice if place(0, 0) else None
+    finally:
+        del place  # `place` refers to itself; drop it so no reference cycle is left
 
 
 def _packed_masks(n: int, rows: np.ndarray) -> list[int]:
@@ -155,10 +159,11 @@ def _berge_cycle(
 
     It refuses at once when fewer than n edges are allowed or some vertex
     lies in fewer than two of them.  Otherwise it tries every core up to
-    rotation/reflection, in permutation order, with brute-force distinct
-    representatives.  Every pool is a bitmask: a pair's allowed edges are
-    the AND of its two vertices' allowed-edge masks, read off the cached
-    per-vertex edge bitmasks, and `_sdr_search` takes them lowest first."""
+    rotation/reflection, (n-1)!/2 of them, in permutation order, with
+    brute-force distinct representatives.  Every pool is a bitmask: a pair's
+    allowed edges are the AND of its two vertices' allowed-edge masks, read
+    off the cached per-vertex edge bitmasks, and `_sdr_search` takes them
+    lowest first."""
     if allowed.bit_count() < n:
         return None
     va = [mask & allowed for mask in _vertex_masks(n, r)]
@@ -474,41 +479,39 @@ def _digits(m: int, length: int, k: int) -> list[int]:
     return out
 
 
-class _Walk:
-    """The prefix-tree walk of one shard's counter range [lo, hi) (see
-    `exhaustive_verify`).  Its state lives on the instance and `walk` is a
-    method, not a closure, so a finished walk leaves no reference cycle, and
-    its memo goes when the instance does."""
+def _over_budget(p: HyperParams) -> ValueError:
+    return ValueError(
+        f"a ({p.n},{p.r},{p.k}) sweep shard passed the {SWEEP_BUDGET}-unit sweep "
+        "budget (walk nodes plus decider calls); narrow the parameters or add shards"
+    )
 
-    def __init__(self, params: HyperParams, lo: int, hi: int):
-        self.params, self.lo, self.hi = params, lo, hi
-        self.owned = [0] * params.k  # per color (0-based): the prefix edges it holds
-        self.prefix = [0] * params.edge_count  # colors 1..k of the edges above the node
-        self.answers: dict[int, tuple] = {}  # mask -> decider's answer, () for none
-        self.checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
-        self.examples: list[str] = []
-        self.units = 0  # walk nodes plus decider calls
 
-    def spend(self) -> None:
-        """Count one unit of work; past `SWEEP_BUDGET` the shard is refused."""
-        self.units += 1
-        if self.units > SWEEP_BUDGET:
-            p = self.params
-            raise ValueError(
-                f"a ({p.n},{p.r},{p.k}) sweep shard passed the {SWEEP_BUDGET}-unit "
-                "sweep budget (walk nodes plus decider calls); narrow the "
-                "parameters or add shards"
-            )
+def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
+    """Classify the colorings at counter values [lo, hi) of the sweep order
+    by a walk of the prefix tree, under the shard's work budget (see
+    `exhaustive_verify`)."""
+    n, r, k, count = params.n, params.r, params.k, params.edge_count
+    stored = ExhaustReport.MAX_STORED
+    if hi - lo == 1:
+        row = _digits(lo, count, k)
+        if _decide_exact(Coloring(params, row)).verdict == "found":
+            return 1, 0, []
+        return 0, 1, [" ".join(map(str, row))][:stored]
+    examples: list[str] = []
+    owned = [0] * k  # per color (0-based): the edges of the prefix it holds
+    prefix = [0] * count  # colors 1..k of the edges above the node
+    answers: dict[int, tuple] = {}  # mask -> the decider's answer, () for none
+    checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
+    units = 0  # walk nodes plus decider calls
 
-    def walk(self, j: int, base: int) -> int:
-        """Give edge j each color under the prefix of edges 0..j-1, whose
-        subtree starts at counter `base`; return the subtree's successes in
-        range."""
-        self.spend()
-        p = self.params
-        k, count = p.k, p.edge_count
-        lo, hi, owned, prefix = self.lo, self.hi, self.owned, self.prefix
-        answers, examples, stored = self.answers, self.examples, ExhaustReport.MAX_STORED
+    def walk(j: int, base: int) -> int:
+        """Give edge j each color under the prefix of edges 0..j-1, held in
+        `owned` and `prefix`, whose subtree starts at counter `base`; return
+        the subtree's successes in range."""
+        nonlocal units
+        units += 1
+        if units > SWEEP_BUDGET:
+            raise _over_budget(params)
         size = k ** (count - j - 1)
         bit = 1 << j
         success = 0
@@ -526,16 +529,21 @@ class _Walk:
             mine = owned[c] | bit
             found = answers.get(mine)
             if found is None:
-                self.spend()
-                found = answers[mine] = _berge_cycle(p.n, p.r, mine) or ()
+                units += 1
+                if units > SWEEP_BUDGET:
+                    raise _over_budget(params)
+                if len(answers) == SWEEP_MEMO:  # a full memo starts afresh
+                    answers.clear()
+                    checked.clear()
+                found = answers[mine] = _berge_cycle(n, r, mine) or ()
             if found:
                 # every completion holds the cycle only if its edges lie in
                 # `mine`, so it is checked, once per mask and color, on the
                 # completion that gives color c to no later edge
-                if (mine, c) not in self.checked:
+                if (mine, c) not in checked:
                     row = prefix[:j] + [c + 1] + [(c + 1) % k + 1] * (count - j - 1)
-                    _checked(BergeCycle(*found, c + 1), Coloring(p, row), "sweep")
-                    self.checked.add((mine, c))
+                    _checked(BergeCycle(*found, c + 1), Coloring(params, row), "sweep")
+                    checked.add((mine, c))
                 got = b - a
             elif j + 1 == count:  # a leaf: one failing coloring
                 if len(examples) < stored:
@@ -544,39 +552,18 @@ class _Walk:
             else:
                 owned[c] = mine
                 prefix[j] = c + 1
-                got = self.walk(j + 1, start)
+                got = walk(j + 1, start)
                 owned[c] = mine ^ bit
             if fresh:
                 twin = got
             success += got
         return success
 
-
-def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
-    """Classify the colorings at counter values [lo, hi) of the sweep order
-    by a walk of the prefix tree (see `exhaustive_verify`)."""
-    if hi - lo > 1:
-        walk = _Walk(params, lo, hi)
-        try:
-            success = walk.walk(0, 0)
-        except RecursionError:  # the walk recurses once per edge
-            raise ValueError(
-                f"the ({params.n},{params.r},{params.k}) sweep walks past Python's "
-                "recursion limit, one level per edge; narrow the parameters"
-            ) from None
-        return success, hi - lo - success, walk.examples
-    row = _digits(lo, params.edge_count, params.k)
-    if _decide_exact(Coloring(params, row)).verdict == "found":
-        return 1, 0, []
-    return 0, 1, [" ".join(map(str, row))][:ExhaustReport.MAX_STORED]
-
-
-def _least_units(params: HyperParams, shards: int) -> int:
-    """(d - J)(d - J + 1), a lower bound on the units the first shard's walk
-    spends (see `exhaustive_verify`), from C(n-1, r) and the shard count
-    alone, so k^C(n,r) is never built; 0 at k = 1, where nothing is walked."""
-    d, J = comb(params.n - 1, params.r), int(shards).bit_length() + 1
-    return (d - J) * (d - J + 1) if params.k > 1 and d > J else 0
+    try:
+        success = walk(0, 0)
+    finally:
+        del walk  # `walk` refers to itself; drop it so no reference cycle is left
+    return success, hi - lo - success, examples
 
 
 def exhaustive_verify(
@@ -591,11 +578,12 @@ def exhaustive_verify(
     repeat=C(n,r))` over the colex edge order, so a coloring's counter value
     is its position in that order: edge 0 is the most significant digit and
     counter order is lexicographic on the digit strings.  `shards`, an
-    integer between 1 and the number of colorings, splits the counter range,
-    and `workers` is an integer of at least 1; results are merged in range
-    order, so counts and retained counterexamples are independent of the
-    shard and worker counts.  Up to 100 lexicographically smallest failing
-    colorings are kept.
+    integer between 1 and the smaller of the number of colorings and
+    `SWEEP_BUDGET` (so the table of shard ranges stays small), splits the
+    counter range, and `workers` is an integer of at least 1; results are
+    merged in range order, so counts and retained counterexamples are
+    independent of the shard and worker counts.  Up to 100 lexicographically
+    smallest failing colorings are kept.
 
     Each shard walks the prefix tree over its counter range: the colorings
     that share the colors of edges 0..j-1 form one contiguous range, and the
@@ -614,7 +602,7 @@ def exhaustive_verify(
     mask comes back under many prefixes that differ in the other colors.  So
     a shard keeps a memo from mask to answer: the decider runs once per
     distinct mask, and a cycle is checked once per distinct (mask, color).
-    The memo lives as long as the shard's walk.
+    The memo is local to the shard's walk and goes when the shard returns.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
     subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps
@@ -632,34 +620,37 @@ def exhaustive_verify(
     Each shard's walk may spend `SWEEP_BUDGET` units of work: one per walk
     node and one per decider call, memo hits free.  It counts them as it
     goes and raises ValueError once it passes the budget, so the refusal
-    does not depend on timing.  A space whose walk must pass it is refused
-    before any table is built: with d = C(n-1, r), the first edge that holds
-    vertex n-1, and J = 1 + the bit length of `shards`, the first shard
-    walks, for each J <= j < d, the subtree "edges 0..j-1 color 1, edge j
-    color 2" down its first path to edge d, since no color holds a cycle
-    before vertex n-1 is covered; that is d - j nodes, each deciding a
-    color-1 mask not asked before, so (d - J)(d - J + 1) units in all.  The
-    walk recurses once per edge, so one that passes Python's recursion limit
-    first (C(n-1, r) near 1000) is refused with ValueError too.
+    does not depend on timing.  The unit was timed on n <= `BUDGET_MAX_N`,
+    where a decider call tries at most 6!/2 = 360 cores; past that a call
+    may try (n-1)!/2, so a space with n > `BUDGET_MAX_N` and more than
+    `MAX_SWEEP_COLORINGS` colorings is refused before k^C(n,r) or any table
+    is built.  An admitted walk thus has at most C(7, 3) = 35 edges, and it
+    recurses once per edge.  The memo keeps at most `SWEEP_MEMO` answers:
+    once full it starts afresh, which repeats decider calls but changes no
+    count or counterexample.
 
     A shard of a single coloring, so every k = 1 sweep, builds that one
-    `Coloring` and is decided directly by `naive_oracle`'s decider: a walk
-    would call the decider on every prefix of that coloring's edges (about
-    1 s at (12,3,1), against 1 ms) and recurse once per edge.  Shards run in
-    a process pool of min(workers, shards, os.cpu_count()) processes, or
-    serially when that is 1.
+    `Coloring` and is decided directly by `naive_oracle`'s decider, outside
+    the budget: a walk would call the decider on every prefix of that
+    coloring's edges (about 1 s at (12,3,1), against 1 ms) and recurse once
+    per edge.  Shards run in a process pool of min(workers, shards,
+    os.cpu_count()) processes, or serially when that is 1.  When a shard is
+    refused, the shards not yet started are cancelled, and the error reaches
+    the caller once the shards already running end.
     """
     n, r, k, edges = params.n, params.r, params.k, params.edge_count
     _check_int("workers", workers, 1)
-    _check_int("shards", shards, 1)
-    least = _least_units(params, shards)
-    if least > SWEEP_BUDGET:
-        raise ValueError(
-            f"{k}^{edges} colorings: the first shard spends at least {least} "
-            f"units, past the {SWEEP_BUDGET}-unit sweep budget; narrow the parameters"
-        )
+    if n > BUDGET_MAX_N:
+        # k >= 2 colors on `bits` edges pass the cap: decide it without a huge power
+        bits = MAX_SWEEP_COLORINGS.bit_length()
+        if k ** min(edges, bits) > MAX_SWEEP_COLORINGS:
+            count = f"{k}^{edges}" + (f" = {k ** edges}" if edges <= bits else "")
+            raise ValueError(
+                f"{count} colorings exceed the {MAX_SWEEP_COLORINGS}-coloring cap "
+                f"on sweeps with n > {BUDGET_MAX_N}; narrow the parameters"
+            )
     total = k ** edges
-    _check_int("shards", shards, 1, total)
+    _check_int("shards", shards, 1, min(total, SWEEP_BUDGET))
     bounds = [total * i // shards for i in range(shards + 1)]
     args = ([params] * shards, bounds[:-1], bounds[1:])
     size = min(workers, shards, os.cpu_count() or 1)
@@ -669,7 +660,11 @@ def exhaustive_verify(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=size) as pool:
-            parts = list(pool.map(_sweep_range, *args))
+            try:
+                parts = list(pool.map(_sweep_range, *args))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # start no further shard
+                raise
     success, failure, examples = zip(*parts)
     kept = list(islice(chain.from_iterable(examples), ExhaustReport.MAX_STORED))
     return ExhaustReport(

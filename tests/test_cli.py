@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -76,23 +77,27 @@ def test_exhaust_infeasible_exit_code(capsys, monkeypatch):
 
 
 def test_exhaust_cap_refused_before_the_power(capsys):
-    # d = C(2999, 2) = 4 495 501 and J = 2, so at least 4 495 499 * 4 495 500
-    # units, decided without building 3^4498500 or any table
+    # past n = 7 a sweep keeps the coloring cap, decided without building
+    # 3^4498500 or any table
     assert run("exhaust", "--n", "3000", "--r", "2", "--k", "3") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["infeasible: 3^4498500 colorings: the first shard spends at least "
-                   f"{4495499 * 4495500} units, past the 2000000-unit sweep "
-                   "budget; narrow the parameters"]
+    assert err == ["infeasible: 3^4498500 colorings exceed the 5000000-coloring cap "
+                   "on sweeps with n > 7; narrow the parameters"]
 
 
-def test_exhaust_past_the_recursion_limit_is_infeasible(capsys):
-    # d = C(45, 2) = 990: the up-front bound, 988 * 989 units, is within the
-    # budget, but the walk must recurse through edge 990 before any color
-    # can hold a cycle
-    assert run("exhaust", "--n", "46", "--r", "2", "--k", "2") == 2
+@pytest.mark.parametrize("shape", [(9, 3, 2), (12, 3, 2), (46, 2, 2)])
+def test_exhaust_large_n_refused_at_once(capsys, monkeypatch, shape):
+    # a decider call may try (n-1)!/2 cores, so past n = 7 the cap refuses
+    # these before any mask table is built or any walk starts
+    def no_table(n, r):
+        raise AssertionError("a mask table was built")
+
+    monkeypatch.setattr(harness, "_vertex_masks", no_table)
+    n, r, k = map(str, shape)
+    assert run("exhaust", "--n", n, "--r", r, "--k", k) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["infeasible: the (46,2,2) sweep walks past Python's recursion "
-                   "limit, one level per edge; narrow the parameters"]
+    assert len(err) == 1
+    assert err[0].startswith(f"infeasible: 2^{comb(*shape[:2])} colorings exceed")
 
 
 @pytest.mark.parametrize("flag, value", [("--shards", "1000000000"), ("--workers", "0")])

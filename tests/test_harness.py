@@ -1,5 +1,7 @@
+import functools
 import gc
 import random
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -310,6 +312,15 @@ class TestNaiveOracle:
             assert fast.verdict == slow.verdict
 
 
+def _slow_decider(log, n, r, allowed, _real=harness._berge_cycle):
+    """The exact decider, logging each call to the file `log` and taking 20 ms
+    longer; module-level, so pool workers forked from a test can run it."""
+    with open(log, "a") as fh:
+        fh.write("x")
+    time.sleep(0.02)
+    return _real(n, r, allowed)
+
+
 class TestExhaustiveVerify:
     def test_single_uniform_coloring(self):
         rep = exhaustive_verify(HyperParams(4, 3, 1))
@@ -419,33 +430,65 @@ class TestExhaustiveVerify:
         assert (rep.success, rep.failure) == (34299, 24750)
 
     def test_cap_decided_without_the_power(self, monkeypatch):
-        # d = C(29, 4) = 23 751 and J = 2: the first shard spends at least
-        # 23 749 * 23 750 units; 2^27405 is never built, nor any table
+        # past n = 7 a sweep keeps the coloring cap: 2^27405 is never built,
+        # nor any table
         def no_table(n, r):
             raise AssertionError("a mask table was built")
 
         monkeypatch.setattr(harness, "_vertex_masks", no_table)
-        with pytest.raises(ValueError, match="2000000-unit sweep budget") as err:
+        with pytest.raises(ValueError) as err:
             exhaustive_verify(HyperParams(30, 4, 2))
-        assert str(err.value).startswith(
-            f"2^{comb(30, 4)} colorings: the first shard spends at least "
-            f"{23749 * 23750} units")
+        assert str(err.value) == (
+            f"2^{comb(30, 4)} colorings exceed the 5000000-coloring cap on sweeps "
+            "with n > 7; narrow the parameters")
 
-    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 3, 2), (5, 2, 4), (7, 5, 2)])
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_up_front_bound_never_passes_the_first_walk(self, shape, shards, monkeypatch):
-        # the refusal before any table is built rests on this lower bound
-        walks = []
+    @pytest.mark.parametrize("shape", [(8, 2, 2), (9, 3, 2), (10, 2, 2), (12, 3, 2)])
+    def test_large_n_refused_without_a_table(self, shape, monkeypatch):
+        # a decider call may try (n-1)!/2 cores, past the 360 of n = 7 where
+        # the budget's unit was timed, so these are refused before any walk
+        def no_table(n, r):
+            raise AssertionError("a mask table was built")
 
-        class Recorded(harness._Walk):
-            def __init__(self, *args):
-                super().__init__(*args)
-                walks.append(self)
-
-        monkeypatch.setattr(harness, "_Walk", Recorded)
+        monkeypatch.setattr(harness, "_vertex_masks", no_table)
         p = HyperParams(*shape)
-        exhaustive_verify(p, shards=shards)
-        assert 0 < harness._least_units(p, shards) <= walks[0].units
+        with pytest.raises(ValueError) as err:
+            exhaustive_verify(p, shards=3)
+        assert str(err.value).startswith(f"2^{p.edge_count} colorings exceed the "
+                                         "5000000-coloring cap on sweeps with n > 7")
+
+    @pytest.mark.parametrize("shape, success", [((8, 7, 2), 2), ((9, 8, 3), 3), ((8, 8, 6), 0)])
+    def test_large_n_under_the_cap_swept(self, shape, success):
+        # C(n, n-1) = n edges: only a one-color coloring has a cycle
+        p = HyperParams(*shape)
+        rep = exhaustive_verify(p, shards=3)
+        assert (rep.total, rep.success) == (p.k ** p.edge_count, success)
+
+    def test_memo_starts_afresh_when_full(self, monkeypatch):
+        # a memo of 16 answers repeats decider calls but keeps every count
+        # and counterexample
+        made = [0]
+
+        def spy(*args, _real=harness._berge_cycle):
+            made[0] += 1
+            return _real(*args)
+
+        p = HyperParams(5, 3, 3)
+        full = exhaustive_verify(p).to_json()
+        monkeypatch.setattr(harness, "_berge_cycle", spy)
+        monkeypatch.setattr(harness, "SWEEP_MEMO", 16)
+        assert exhaustive_verify(p).to_json() == full
+        assert made[0] > self.MEMO_CALLS[(5, 3, 3)]
+
+    def test_pooled_refusal_cancels_the_shards_not_started(self, tmp_path, monkeypatch):
+        # under a 64-unit budget each of the 64 shards of (5,3,3) is refused
+        # after at most 64 decider calls, which take 20 ms each here; the
+        # refusal reaches the caller and most shards never start
+        log = tmp_path / "calls"
+        monkeypatch.setattr(harness, "_berge_cycle", functools.partial(_slow_decider, log))
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 64)
+        with pytest.raises(ValueError, match="sweep shard passed the 64-unit"):
+            exhaustive_verify(HyperParams(5, 3, 3), shards=64, workers=2)
+        assert 1 <= len(log.read_text()) <= 64 * 16
 
     def test_monotone_under_extra_color(self):
         # a failing k-coloring read with an unused extra color still fails
