@@ -16,8 +16,9 @@ in its own cached per-vertex edge bitmasks, no graph machinery, in
 `exhaustive_verify` sweeps an entire coloring space with the same decider,
 deciding whole subtrees of colorings at once, asking the decider once per
 distinct color mask in a shard, and counting a subtree that differs from a
-walked one only by swapping two colors its prefix leaves unused without
-walking it.  The search, the oracle and the sweep hand every cycle they find
+walked one only by swapping two colors its prefix leaves unused, or, at
+depth r + 1, by relabelling vertices 0..r and the colors, without walking
+it.  The search, the oracle and the sweep hand every cycle they find
 to one certificate step, `_checked`.
 
 Budgets are node expansions plus matching augmentations, and for a sweep
@@ -489,7 +490,9 @@ def _over_budget(p: HyperParams) -> ValueError:
 def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
     """Classify the colorings at counter values [lo, hi) of the sweep order
     by a walk of the prefix tree, under the shard's work budget (see
-    `exhaustive_verify`)."""
+    `exhaustive_verify`).  A whole in-range subtree at depth r + 1 takes the
+    success count of the first one walked with the same sorted color counts
+    on edges 0..r, under the counterexample rule of the unused-color swap."""
     n, r, k, count = params.n, params.r, params.k, params.edge_count
     stored = ExhaustReport.MAX_STORED
     if hi - lo == 1:
@@ -502,6 +505,7 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     prefix = [0] * count  # colors 1..k of the edges above the node
     answers: dict[int, tuple] = {}  # mask -> the decider's answer, () for none
     checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
+    classes: dict[tuple[int, ...], int] = {}  # sorted color counts -> successes
     units = 0  # walk nodes plus decider calls
 
     def walk(j: int, base: int) -> int:
@@ -509,10 +513,18 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
         `owned` and `prefix`, whose subtree starts at counter `base`; return
         the subtree's successes in range."""
         nonlocal units
+        size = k ** (count - j - 1)
+        # relabelling vertices 0..r and colors maps one whole depth-(r+1)
+        # subtree onto any other whose prefix has the same sorted color counts
+        whole = j == r + 1 and lo <= base and base + k * size <= hi
+        if whole:
+            key = tuple(sorted(mask.bit_count() for mask in owned))
+            got = classes.get(key)
+            if got is not None and (got == k * size or len(examples) >= stored):
+                return got
         units += 1
         if units > SWEEP_BUDGET:
             raise _over_budget(params)
-        size = k ** (count - j - 1)
         bit = 1 << j
         success = 0
         twin = -1  # successes of a walked whole subtree of an unused color
@@ -557,6 +569,8 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             if fresh:
                 twin = got
             success += got
+        if whole:
+            classes[key] = success
         return success
 
     try:
@@ -613,9 +627,22 @@ def exhaustive_verify(
     never copied as counterexamples: a subtree is reused only when the
     walked one had no failure or the shard already keeps `MAX_STORED`
     counterexamples, and is walked otherwise.  A subtree cut by a shard
-    bound is walked too, so a sweep of two or more shards at k = 2 gains
-    nothing: only the root leaves two colors unused.  A shard's failures
-    are its range size minus its successes.
+    bound is walked too, so in a sweep of two or more shards at k = 2 the
+    swap saves nothing: only the root leaves two colors unused.  A shard's
+    failures are its range size minus its successes.
+
+    Vertex relabelling goes further at depth r + 1.  In colex order, edges
+    0..r are the r-subsets of {0, ..., r}, edge i the one that misses vertex
+    r - i.  A permutation of vertices 0..r fixes every vertex above r, so it
+    permutes edges 0..r and maps every later edge to a later edge: it maps
+    the subtree of a prefix of edges 0..r one-to-one onto the subtree of the
+    permuted prefix and keeps every answer, and a renaming of the colors
+    does the same.  Every rearrangement of the r + 1 prefix colors comes
+    from such a permutation, so two prefixes are related by these maps
+    exactly when their sorted color counts agree.  A shard walks the first
+    whole in-range depth-(r+1) subtree of each count class and gives its
+    success count to each later whole in-range subtree of the class, at no
+    budget cost, under the swap's counterexample rule.
 
     Each shard's walk may spend `SWEEP_BUDGET` units of work: one per walk
     node and one per decider call, memo hits free.  It counts them as it

@@ -68,12 +68,12 @@ def test_exhaust_report(tmp_path, capsys):
 
 
 def test_exhaust_infeasible_exit_code(capsys, monkeypatch):
-    # (5,3,3)'s walk spends 4 004 units, one past this budget
-    monkeypatch.setattr(harness, "SWEEP_BUDGET", 4003)
+    # (5,3,3)'s walk spends 1 158 units, one past this budget
+    monkeypatch.setattr(harness, "SWEEP_BUDGET", 1157)
     assert run("exhaust", "--n", "5", "--r", "3", "--k", "3") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("infeasible: a (5,3,3) sweep shard passed the 4003-unit")
+    assert err[0].startswith("infeasible: a (5,3,3) sweep shard passed the 1157-unit")
 
 
 def test_exhaust_cap_refused_before_the_power(capsys):

@@ -418,16 +418,31 @@ class TestExhaustiveVerify:
             assert naive_oracle(coloring_from_digits(p, line)).verdict == "not-found"
 
     def test_infeasible_rejected_with_estimate(self, monkeypatch):
-        # (5,3,3)'s walk spends 4 004 units (3 335 nodes and 669 decider
+        # (5,3,3)'s walk spends 1 158 units (841 nodes and 317 decider
         # calls): a budget one short refuses the shard, the exact one admits it
-        monkeypatch.setattr(harness, "SWEEP_BUDGET", 4003)
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1157)
         with pytest.raises(ValueError) as err:
             exhaustive_verify(HyperParams(5, 3, 3))
         assert str(err.value).startswith(
-            "a (5,3,3) sweep shard passed the 4003-unit sweep budget")
-        monkeypatch.setattr(harness, "SWEEP_BUDGET", 4004)
+            "a (5,3,3) sweep shard passed the 1157-unit sweep budget")
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1158)
         rep = exhaustive_verify(HyperParams(5, 3, 3))
         assert (rep.success, rep.failure) == (34299, 24750)
+
+    @pytest.mark.parametrize("shape, split", [
+        ((7, 5, 3), (10_460_353_203, 0)),
+        ((6, 4, 4), (602_448_400, 471_293_424)),
+    ])
+    def test_one_shard_under_the_default_budget(self, shape, split):
+        # counting each depth-(r+1) subtree once per sorted color-count class
+        # brings these under SWEEP_BUDGET in one shard; walked one by one,
+        # they needed 9.9 and 9.0 million units
+        p = HyperParams(*shape)
+        rep = exhaustive_verify(p, shards=1)
+        assert (rep.success, rep.failure) == split
+        assert len(rep.counterexamples) == min(rep.failure, rep.MAX_STORED)
+        for line in rep.counterexamples:
+            assert naive_oracle(coloring_from_digits(p, line)).verdict == "not-found"
 
     def test_cap_decided_without_the_power(self, monkeypatch):
         # past n = 7 a sweep keeps the coloring cap: 2^27405 is never built,
@@ -499,7 +514,9 @@ class TestExhaustiveVerify:
         assert naive_oracle(coloring_from_digits(p3, failing)).verdict == "not-found"
 
     @pytest.mark.parametrize(
-        "shape", [(4, 3, 2), (5, 4, 2), (5, 4, 3), (6, 4, 2), (5, 3, 2), (6, 5, 2), (5, 3, 3)]
+        "shape",
+        [(4, 3, 2), (5, 4, 2), (5, 4, 3), (6, 4, 2), (5, 3, 2), (6, 5, 2), (5, 3, 3),
+         (4, 2, 2), (5, 2, 2), (6, 2, 2)],
     )
     @pytest.mark.parametrize("shards", [1, 3])
     def test_counter_order_matches_a_divmod_decoder(self, shape, shards):
@@ -510,11 +527,14 @@ class TestExhaustiveVerify:
         assert rep.counterexamples == failures[: rep.MAX_STORED]
 
     @pytest.mark.parametrize("stored", [0, 1, 7])
-    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 4, 3), (6, 5, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(5, 3, 3), (5, 4, 3), (6, 5, 2), (4, 2, 2), (5, 2, 2), (6, 2, 2)]
+    )
     @pytest.mark.parametrize("shards", [1, 3])
     def test_relabelled_subtrees_keep_counterexamples(self, stored, shape, shards, monkeypatch):
         # a subtree with failures is reused only once the shard keeps
-        # MAX_STORED counterexamples, so a smaller cap turns reuse on earlier
+        # MAX_STORED counterexamples, so a smaller cap turns reuse on earlier;
+        # at r = 2 whole depth-3 subtrees with failures meet both reuses
         monkeypatch.setattr(harness.ExhaustReport, "MAX_STORED", stored)
         p = HyperParams(*shape)
         success, failures = decoded_sweep(p)
@@ -523,8 +543,9 @@ class TestExhaustiveVerify:
         assert rep.counterexamples == failures[:stored]
 
     # _berge_cycle calls of a serial sweep: (shape, calls at shards=1 of a
-    # walk that reuses relabelled subtrees but keeps no memo, and the calls
-    # at shards 1 and 3 of a walk that reuses no subtree and keeps no memo)
+    # walk that reuses subtrees only under the unused-color swap and keeps
+    # no memo, and the calls at shards 1 and 3 of a walk that reuses no
+    # subtree and keeps no memo)
     DECIDER_CALLS = [
         ((4, 3, 2), 30, (30, 35)),
         ((5, 4, 2), 62, (62, 69)),
@@ -535,17 +556,20 @@ class TestExhaustiveVerify:
         ((5, 3, 3), 9999, (59700, 59700)),
         ((7, 5, 2), 3523, (7046, 7072)),
     ]
-    # the calls at shards=1 with the shard's memo: one per distinct mask
+    # the calls at shards=1 with the shard's memo and the reuse of whole
+    # depth-(r+1) subtrees: one per distinct mask the walk still reaches
     MEMO_CALLS = {
-        (4, 3, 2): 15, (5, 4, 2): 31, (5, 4, 3): 31, (6, 4, 2): 995,
-        (5, 3, 2): 315, (6, 5, 2): 63, (5, 3, 3): 669, (7, 5, 2): 3523,
+        (4, 3, 2): 15, (5, 4, 2): 31, (5, 4, 3): 31, (6, 4, 2): 193,
+        (5, 3, 2): 129, (6, 5, 2): 63, (5, 3, 3): 317, (7, 5, 2): 435,
     }
 
     @pytest.mark.parametrize("shape, calls, walked", DECIDER_CALLS)
     def test_relabelled_subtrees_save_decider_calls(self, shape, calls, walked, monkeypatch):
         # a whole subtree of a color unused by its prefix is counted from an
-        # earlier unused color's walk; a shard-cut subtree is walked; a mask
-        # the shard has already decided is answered from its memo
+        # earlier unused color's walk, and a whole depth-(r+1) subtree from
+        # the first one walked with the same sorted color counts on edges
+        # 0..r; a shard-cut subtree is walked; a mask the shard has already
+        # decided is answered from its memo
         made = [0]
 
         def spy(*args, _real=harness._berge_cycle):
@@ -715,7 +739,11 @@ def test_sweep_refuses_a_cycle_off_its_prefix(shape, monkeypatch):
 def test_sweep_decider_agrees_with_the_search_on_its_own_masks(monkeypatch):
     # every color mask the sweep's decider is asked about, as color 1 of a
     # 2-coloring: find_mono_berge, which shares no decision code with the
-    # decider, tries color 1 first and finds it exactly when the decider does
+    # decider, tries color 1 first and finds it exactly when the decider does.
+    # The ranges are one counter narrower than a depth-(r+1) subtree, so none
+    # holds such a subtree whole and none is counted from a relabelled one:
+    # the decider is asked about at least the masks of a whole-range walk
+    # that reuses subtrees only under the unused-color swap
     asked: dict = {}
 
     def spy(n, r, allowed, _real=harness._berge_cycle):
@@ -725,9 +753,14 @@ def test_sweep_decider_agrees_with_the_search_on_its_own_masks(monkeypatch):
 
     monkeypatch.setattr(harness, "_berge_cycle", spy)
     for shape, hi in [((5, 3, 3), 3**10), ((7, 5, 2), 2**21), ((6, 4, 3), 3**11)]:
-        harness._sweep_range(HyperParams(*shape), 0, hi)
+        p = HyperParams(*shape)
+        step = p.k ** (p.edge_count - p.r - 1) - 1
+        for lo in range(0, hi, step):
+            harness._sweep_range(p, lo, min(lo + step, hi))
     distinct = Counter((n, r) for n, r, _ in asked)
-    assert distinct == {(5, 3): 669, (7, 5): 3523, (6, 4): 1488}
+    assert distinct[(5, 3)] >= 669
+    assert distinct[(7, 5)] >= 3523
+    assert distinct[(6, 4)] >= 1488
     for (n, r, allowed), found in asked.items():
         p = HyperParams(n, r, 2)
         colors = [1 if allowed >> t & 1 else 2 for t in range(p.edge_count)]
