@@ -26,7 +26,7 @@ import numpy as np
 from .extend import build_candidates, distinct_representatives, extend_greedy_ordered, extend_matching
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
-from .hypercore import BergeCycle, Coloring, _rows_through, rank_edge, unrank_edge
+from .hypercore import BergeCycle, Coloring, _check_args, _rows_through, edge_members, rank_edge
 from .shadow import ColorProfile, _degree_bound, _greedy_avoiding, avoids
 
 GAMMA_NODE_BUDGET = 2_000_000
@@ -174,6 +174,8 @@ class GammaBundle:
 
     def validate(self, profile: ColorProfile) -> None:
         p = profile.params
+        _check_args(p, edges=self.reserved.values())
+        table = edge_members(p.n, p.r)
         seen = set()
         for (u, v), h in self.reserved.items():
             if not self.gamma.has_edge(u, v):
@@ -181,12 +183,11 @@ class GammaBundle:
             if h in seen:
                 raise ValueError(f"hyperedge {h} reserved twice")
             seen.add(h)
-            members = unrank_edge(h, p)
+            members = table[h].tolist()
             if u not in members or v not in members:
                 raise ValueError(
                     f"reserved hyperedge {h} misses an endpoint of ({u},{v})"
                 )
-            # unrank_edge has already checked h
             if profile.coloring.colors[h] != self.target_color:
                 raise ValueError(f"reserved hyperedge {h} has the wrong color")
         if self.case_tag == 2:

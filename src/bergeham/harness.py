@@ -2,27 +2,23 @@
 
 `find_mono_berge` is the production search: per color class large enough to
 matter, it runs the Hamiltonian backtracker once on the pair-support graph
-with a prefix matcher hooked in, so the path and its distinct hyperedges grow
-together and a prefix with none is cut (Hall's theorem), or walked on until a
-cycle closes, which decides Hamiltonicity.  The matcher, `_BudgetedSDR`, also
-runs a look-ahead, described there.  A color's class is read once into
-per-vertex class-edge bitmasks, `_ClassPools`, which give the support graph,
-the matcher's pools and the look-ahead.  It falls back to the constructive
-pipeline when budgets bite.
-`naive_oracle` is the deliberately independent ground truth (permutations
-plus brute-force SDR over bitmask pools, each the AND of two vertices' masks
-in its own cached per-vertex edge bitmasks, no graph machinery, in
-`_berge_cycle`, which decides one color's edge mask), and
-`exhaustive_verify` sweeps an entire coloring space with the same decider,
-deciding whole subtrees of colorings at once, asking the decider once per
-distinct color mask in a shard, and counting a subtree that differs from a
-walked one only by swapping two colors its prefix leaves unused, or, at
-depth r + 1, by relabelling vertices 0..r and the colors, without walking
-it.  The search, the oracle and the sweep hand every cycle they find
-to one certificate step, `_checked`.
+with a prefix matcher hooked in (`_BudgetedSDR`, with a look-ahead), so the
+path and its distinct hyperedges grow together and a prefix with none is
+cut (Hall's theorem).  A class is read once into per-vertex class-edge
+bitmasks, `_ClassPools`.  It falls back to the constructive pipeline when
+budgets bite.  `naive_oracle` is the deliberately independent ground truth:
+`_berge_cycle` decides one color's edge mask by permutations plus
+brute-force SDR over bitmask pools, with no graph machinery.
+`exhaustive_verify` sweeps a whole coloring space with the same decider,
+deciding whole subtrees of colorings at once, once per distinct color mask
+in a shard, and counting a subtree that a color swap or a relabelling of
+vertices 0..r maps onto a walked one without walking it.  The search, the
+oracle and the sweep hand every cycle they find to one certificate step,
+`_checked`.
 
 Budgets are node expansions plus matching augmentations, and for a sweep
-shard walk nodes plus decider calls; wall clock never influences a verdict.
+shard walk nodes, decider calls and the cores those calls try; wall clock
+never influences a verdict.
 """
 
 from __future__ import annotations
@@ -55,9 +51,8 @@ from .hypercore import (
 )
 
 NAIVE_MAX_N = 9
-SWEEP_BUDGET = 2_000_000  # walk nodes plus decider calls per sweep shard
-BUDGET_MAX_N = 7  # the largest n at which the budget's unit was timed
-MAX_SWEEP_COLORINGS = 5_000_000  # colorings per sweep with n > BUDGET_MAX_N
+SWEEP_BUDGET = 60_000_000  # walk nodes, decider calls and cores tried per sweep shard
+MAX_SHARDS = 2_000_000  # keeps the table of shard ranges small
 SWEEP_MEMO = 1 << 14  # decider answers a sweep shard keeps at once
 
 
@@ -154,27 +149,28 @@ def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
 
 def _berge_cycle(
     n: int, r: int, allowed: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(core, edges) of a Hamiltonian Berge-cycle of K_n^r whose edges all
-    lie in `allowed` (bit t: the colex-rank-t edge), or None if there is none.
+) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """((core, edges) of a Hamiltonian Berge-cycle of K_n^r whose edges all
+    lie in `allowed` (bit t: the colex-rank-t edge) or None, cores tried).
 
-    It refuses at once when fewer than n edges are allowed or some vertex
-    lies in fewer than two of them.  Otherwise it tries every core up to
-    rotation/reflection, (n-1)!/2 of them, in permutation order, with
-    brute-force distinct representatives.  Every pool is a bitmask: a pair's
-    allowed edges are the AND of its two vertices' allowed-edge masks, read
-    off the cached per-vertex edge bitmasks, and `_sdr_search` takes them
-    lowest first."""
+    It refuses at once, trying no core, when fewer than n edges are allowed
+    or some vertex lies in fewer than two of them.  Otherwise it tries every
+    core up to rotation/reflection, (n-1)!/2 of them, in permutation order,
+    with brute-force distinct representatives.  Every pool is a bitmask: a
+    pair's allowed edges are the AND of its two vertices' allowed-edge
+    masks, read off the cached per-vertex edge bitmasks."""
     if allowed.bit_count() < n:
-        return None
+        return None, 0
     va = [mask & allowed for mask in _vertex_masks(n, r)]
     for mask in va:
         if not mask & (mask - 1):
-            return None
+            return None, 0
     v0 = va[0]
+    cores = 0
     for perm in permutations(range(1, n)):
         if n > 2 and perm[0] > perm[-1]:
             continue  # reflection representative
+        cores += 1
         pools = []
         prev = v0
         for b in perm:
@@ -189,8 +185,8 @@ def _berge_cycle(
                 pools.append(pool)
                 sdr = _sdr_search(pools)
                 if sdr is not None:
-                    return (0,) + perm, tuple(sdr)
-    return None
+                    return ((0,) + perm, tuple(sdr)), cores
+    return None, cores
 
 
 def _checked(cycle: BergeCycle, coloring: Coloring, source: str) -> BergeCycle:
@@ -214,7 +210,7 @@ def _decide_exact(coloring: Coloring) -> SearchReport:
         if allowed.bit_count() < p.n:
             stages["skipped_colors"].append(color)
             continue
-        found = _berge_cycle(p.n, p.r, allowed)
+        found, _ = _berge_cycle(p.n, p.r, allowed)
         if found is not None:
             cycle = _checked(BergeCycle(*found, color), coloring, "oracle")
             return SearchReport("found", color=color, cycle=cycle, stages=stages)
@@ -471,22 +467,6 @@ class ExhaustReport:
             fh.write("\n")
 
 
-def _digits(m: int, length: int, k: int) -> list[int]:
-    """The colors 1..k of counter value m, most significant digit first."""
-    out = [0] * length
-    for i in range(length - 1, -1, -1):
-        m, d = divmod(m, k)
-        out[i] = d + 1
-    return out
-
-
-def _over_budget(p: HyperParams) -> ValueError:
-    return ValueError(
-        f"a ({p.n},{p.r},{p.k}) sweep shard passed the {SWEEP_BUDGET}-unit sweep "
-        "budget (walk nodes plus decider calls); narrow the parameters or add shards"
-    )
-
-
 def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[str]]:
     """Classify the colorings at counter values [lo, hi) of the sweep order
     by a walk of the prefix tree, under the shard's work budget (see
@@ -496,7 +476,7 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     n, r, k, count = params.n, params.r, params.k, params.edge_count
     stored = ExhaustReport.MAX_STORED
     if hi - lo == 1:
-        row = _digits(lo, count, k)
+        row = [lo // k ** (count - 1 - i) % k + 1 for i in range(count)]  # base-k digits
         if _decide_exact(Coloring(params, row)).verdict == "found":
             return 1, 0, []
         return 0, 1, [" ".join(map(str, row))][:stored]
@@ -506,7 +486,7 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     answers: dict[int, tuple] = {}  # mask -> the decider's answer, () for none
     checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
     classes: dict[tuple[int, ...], int] = {}  # sorted color counts -> successes
-    units = 0  # walk nodes plus decider calls
+    units = 0  # walk nodes, decider calls and cores tried
 
     def walk(j: int, base: int) -> int:
         """Give edge j each color under the prefix of edges 0..j-1, held in
@@ -523,8 +503,6 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             if got is not None and (got == k * size or len(examples) >= stored):
                 return got
         units += 1
-        if units > SWEEP_BUDGET:
-            raise _over_budget(params)
         bit = 1 << j
         success = 0
         twin = -1  # successes of a walked whole subtree of an unused color
@@ -541,13 +519,12 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             mine = owned[c] | bit
             found = answers.get(mine)
             if found is None:
-                units += 1
-                if units > SWEEP_BUDGET:
-                    raise _over_budget(params)
                 if len(answers) == SWEEP_MEMO:  # a full memo starts afresh
                     answers.clear()
                     checked.clear()
-                found = answers[mine] = _berge_cycle(n, r, mine) or ()
+                found, cores = _berge_cycle(n, r, mine)
+                found = answers[mine] = found or ()
+                units += 1 + cores
             if found:
                 # every completion holds the cycle only if its edges lie in
                 # `mine`, so it is checked, once per mask and color, on the
@@ -571,6 +548,12 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             success += got
         if whole:
             classes[key] = success
+        if units > SWEEP_BUDGET:  # checked as each node returns, the root last
+            raise ValueError(
+                f"a ({n},{r},{k}) sweep shard passed the {SWEEP_BUDGET}-unit sweep budget "
+                "(walk nodes, decider calls and cores tried); narrow the parameters or "
+                "add shards"
+            )
         return success
 
     try:
@@ -593,7 +576,7 @@ def exhaustive_verify(
     is its position in that order: edge 0 is the most significant digit and
     counter order is lexicographic on the digit strings.  `shards`, an
     integer between 1 and the smaller of the number of colorings and
-    `SWEEP_BUDGET` (so the table of shard ranges stays small), splits the
+    `MAX_SHARDS` (so the table of shard ranges stays small), splits the
     counter range, and `workers` is an integer of at least 1; results are
     merged in range order, so counts and retained counterexamples are
     independent of the shard and worker counts.  Up to 100 lexicographically
@@ -612,24 +595,22 @@ def exhaustive_verify(
     a coloring reached as a leaf has no monochromatic cycle and fails; the
     failures are kept in counter order.
 
-    The decider's answer depends only on the mask of c-edges, and the same
-    mask comes back under many prefixes that differ in the other colors.  So
-    a shard keeps a memo from mask to answer: the decider runs once per
-    distinct mask, and a cycle is checked once per distinct (mask, color).
-    The memo is local to the shard's walk and goes when the shard returns.
+    The decider's answer depends only on the mask of c-edges, which comes
+    back under many prefixes.  So a shard keeps a memo from mask to answer:
+    the decider runs once per distinct mask, and a cycle is checked once per
+    distinct (mask, color).  The memo keeps at most `SWEEP_MEMO` answers and
+    starts afresh once full, which repeats decider calls but changes no count
+    or counterexample.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
-    subtree "edge j = c" one-to-one onto the subtree "edge j = c'" and keeps
-    each coloring's answer.  So a node walks the first unused color whose
-    subtree lies whole in the shard's range, and each later unused color
-    whose subtree also lies whole in range gets the same success count with
-    no decider call.  The swap does not keep counter order, so failures are
-    never copied as counterexamples: a subtree is reused only when the
-    walked one had no failure or the shard already keeps `MAX_STORED`
-    counterexamples, and is walked otherwise.  A subtree cut by a shard
-    bound is walked too, so in a sweep of two or more shards at k = 2 the
-    swap saves nothing: only the root leaves two colors unused.  A shard's
-    failures are its range size minus its successes.
+    subtree "edge j = c" one-to-one onto "edge j = c'" and keeps each
+    answer.  So a node walks the first unused color whose subtree lies whole
+    in the shard's range, and each later one whose subtree does too gets the
+    same success count with no decider call.  The swap does not keep counter
+    order, so failures are never copied as counterexamples: a subtree is
+    reused only when the walked one had no failure or the shard already
+    keeps `MAX_STORED` counterexamples.  A subtree cut by a shard bound is
+    walked.  A shard's failures are its range size minus its successes.
 
     Vertex relabelling goes further at depth r + 1.  In colex order, edges
     0..r are the r-subsets of {0, ..., r}, edge i the one that misses vertex
@@ -644,17 +625,32 @@ def exhaustive_verify(
     success count to each later whole in-range subtree of the class, at no
     budget cost, under the swap's counterexample rule.
 
-    Each shard's walk may spend `SWEEP_BUDGET` units of work: one per walk
-    node and one per decider call, memo hits free.  It counts them as it
-    goes and raises ValueError once it passes the budget, so the refusal
-    does not depend on timing.  The unit was timed on n <= `BUDGET_MAX_N`,
-    where a decider call tries at most 6!/2 = 360 cores; past that a call
-    may try (n-1)!/2, so a space with n > `BUDGET_MAX_N` and more than
-    `MAX_SWEEP_COLORINGS` colorings is refused before k^C(n,r) or any table
-    is built.  An admitted walk thus has at most C(7, 3) = 35 edges, and it
-    recurses once per edge.  The memo keeps at most `SWEEP_MEMO` answers:
-    once full it starts afresh, which repeats decider calls but changes no
-    count or counterexample.
+    Each shard's walk may spend `SWEEP_BUDGET` units: one per walk node,
+    one per decider call and one per core the call tries, memo hits free.
+    It raises ValueError once past the budget, so the refusal does not
+    depend on timing.  With cores charged a unit cost 0.4-5.1 us on every
+    space timed (2-vCPU Xeon VM), so a shard runs there for up to ~5 min.
+
+    A sweep of k >= 2 colors is refused before k^C(n,r) or any table is
+    built when its walk provably passes the budget.  No edge of colex rank
+    below C(n-1, r) holds vertex n-1 and a cycle needs n edges of one color,
+    so no prefix of depth d = min(max(C(n-1, r), n-1), C(n,r) - 1) or less
+    closes a cycle.  Of the nodes down to depth d whose prefix starts with
+    color 1 and uses colors 1 and 2 alone, none is counted from a swapped
+    subtree (below the root, color 2 is never a second unused color).  Above
+    depth r + 1 none is counted from a relabelled one: the 2^(min(d,r)-1) at
+    depth min(d, r) are walked.  The prefix 1...12 comes first in its count
+    class, so it is walked, and so are its 2^(d-r-1) descendants at depth d.
+    Every shard whose range meets such a node's subtree walks the node, so
+    the shards spend at least 2^e units in all, e the larger exponent, and
+    when 2^e passes `shards` budgets some shard passes its own.  A shard of
+    one coloring walks nothing, but exists only when 2^e < k^C(n,r) < 2 *
+    shards, which keeps the guard silent.
+
+    The walk recurses once per edge, so at most C(n,r) deep.  In one shard
+    the guard admits at most 378 edges, at (28,26), well inside Python's
+    default recursion limit of 1 000; past 109 951 shards it admits (n, n-2)
+    spaces of 990 edges or more, whose walk may raise RecursionError.
 
     A shard of a single coloring, so every k = 1 sweep, builds that one
     `Coloring` and is decided directly by `naive_oracle`'s decider, outside
@@ -667,17 +663,18 @@ def exhaustive_verify(
     """
     n, r, k, edges = params.n, params.r, params.k, params.edge_count
     _check_int("workers", workers, 1)
-    if n > BUDGET_MAX_N:
-        # k >= 2 colors on `bits` edges pass the cap: decide it without a huge power
-        bits = MAX_SWEEP_COLORINGS.bit_length()
-        if k ** min(edges, bits) > MAX_SWEEP_COLORINGS:
-            count = f"{k}^{edges}" + (f" = {k ** edges}" if edges <= bits else "")
+    # min(k^edges, MAX_SHARDS) without the power: k >= 2 on 21 edges passes it
+    _check_int("shards", shards, 1, min(k ** min(edges, MAX_SHARDS.bit_length()), MAX_SHARDS))
+    if k > 1:
+        d = min(max(comb(n - 1, r), n - 1), edges - 1)
+        e = max(min(d, r) - 1, d - r - 1)
+        if e >= (SWEEP_BUDGET * int(shards)).bit_length():  # 2^e > SWEEP_BUDGET * shards
             raise ValueError(
-                f"{count} colorings exceed the {MAX_SWEEP_COLORINGS}-coloring cap "
-                f"on sweeps with n > {BUDGET_MAX_N}; narrow the parameters"
+                f"a ({n},{r},{k}) sweep walks at least 2^{e} nodes, more than "
+                f"{shards} shard(s) of the {SWEEP_BUDGET}-unit sweep budget allow; "
+                "narrow the parameters"
             )
     total = k ** edges
-    _check_int("shards", shards, 1, min(total, SWEEP_BUDGET))
     bounds = [total * i // shards for i in range(shards + 1)]
     args = ([params] * shards, bounds[:-1], bounds[1:])
     size = min(workers, shards, os.cpu_count() or 1)

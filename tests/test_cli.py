@@ -68,27 +68,32 @@ def test_exhaust_report(tmp_path, capsys):
 
 
 def test_exhaust_infeasible_exit_code(capsys, monkeypatch):
-    # (5,3,3)'s walk spends 1 158 units, one past this budget
-    monkeypatch.setattr(harness, "SWEEP_BUDGET", 1157)
+    # (5,3,3)'s walk spends 1 401 units, one past this budget
+    monkeypatch.setattr(harness, "SWEEP_BUDGET", 1400)
     assert run("exhaust", "--n", "5", "--r", "3", "--k", "3") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("infeasible: a (5,3,3) sweep shard passed the 1157-unit")
+    assert err[0].startswith("infeasible: a (5,3,3) sweep shard passed the 1400-unit")
 
 
-def test_exhaust_cap_refused_before_the_power(capsys):
-    # past n = 7 a sweep keeps the coloring cap, decided without building
-    # 3^4498500 or any table
+def test_exhaust_cap_refused_before_the_power(capsys, monkeypatch):
+    # the guard refuses at once, without building 3^4498500 or any table
+    def no_table(n, r):
+        raise AssertionError("a mask table was built")
+
+    monkeypatch.setattr(harness, "_vertex_masks", no_table)
     assert run("exhaust", "--n", "3000", "--r", "2", "--k", "3") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["infeasible: 3^4498500 colorings exceed the 5000000-coloring cap "
-                   "on sweeps with n > 7; narrow the parameters"]
+    assert err == [f"infeasible: a (3000,2,3) sweep walks at least 2^{comb(2999, 2) - 3} "
+                   "nodes, more than 1 shard(s) of the 60000000-unit sweep budget allow; "
+                   "narrow the parameters"]
 
 
 @pytest.mark.parametrize("shape", [(9, 3, 2), (12, 3, 2), (46, 2, 2)])
 def test_exhaust_large_n_refused_at_once(capsys, monkeypatch, shape):
-    # a decider call may try (n-1)!/2 cores, so past n = 7 the cap refuses
-    # these before any mask table is built or any walk starts
+    # the guard's bound on the walk, 2^(C(n-1,r)-r-1) nodes, passes the
+    # budget, so these are refused before any mask table is built or any
+    # walk starts
     def no_table(n, r):
         raise AssertionError("a mask table was built")
 
@@ -97,7 +102,8 @@ def test_exhaust_large_n_refused_at_once(capsys, monkeypatch, shape):
     assert run("exhaust", "--n", n, "--r", r, "--k", k) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"infeasible: 2^{comb(*shape[:2])} colorings exceed")
+    assert err[0].startswith(f"infeasible: a ({n},{r},{k}) sweep walks at least "
+                             f"2^{comb(shape[0] - 1, shape[1]) - shape[1] - 1} nodes")
 
 
 @pytest.mark.parametrize("flag, value", [("--shards", "1000000000"), ("--workers", "0")])

@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import hashlib
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -157,6 +159,15 @@ class TestCase2:
             members = unrank_edge(h, prof.params)
             assert u in members and v in members
             assert prof.coloring.color_of(h) == b.target_color
+
+    @pytest.mark.parametrize("bad", [comb(24, 5), -1, 1.5, True])
+    def test_validate_rejects_a_bad_reserved_index(self, bundle, bad):
+        # checked before the member table is read, where -1 would be a row
+        prof, _, b = bundle
+        pair = next(iter(b.reserved))
+        broken = dataclasses.replace(b, reserved={**b.reserved, pair: bad})
+        with pytest.raises(ValueError, match="^edge index must be an integer"):
+            broken.validate(prof)
 
     def test_repaired_degrees_exceed_2r(self, bundle):
         _, _, b = bundle

@@ -418,25 +418,29 @@ class TestExhaustiveVerify:
             assert naive_oracle(coloring_from_digits(p, line)).verdict == "not-found"
 
     def test_infeasible_rejected_with_estimate(self, monkeypatch):
-        # (5,3,3)'s walk spends 1 158 units (841 nodes and 317 decider
-        # calls): a budget one short refuses the shard, the exact one admits it
-        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1157)
+        # (5,3,3)'s walk spends 1 401 units (841 nodes, 317 decider calls and
+        # 243 cores tried): a budget one short refuses the shard, the exact
+        # one admits it
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1400)
         with pytest.raises(ValueError) as err:
             exhaustive_verify(HyperParams(5, 3, 3))
         assert str(err.value).startswith(
-            "a (5,3,3) sweep shard passed the 1157-unit sweep budget")
-        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1158)
+            "a (5,3,3) sweep shard passed the 1400-unit sweep budget")
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", 1401)
         rep = exhaustive_verify(HyperParams(5, 3, 3))
         assert (rep.success, rep.failure) == (34299, 24750)
 
     @pytest.mark.parametrize("shape, split", [
         ((7, 5, 3), (10_460_353_203, 0)),
         ((6, 4, 4), (602_448_400, 471_293_424)),
+        ((6, 3, 3), (3_456_469_665, 30_314_736)),
     ])
     def test_one_shard_under_the_default_budget(self, shape, split):
         # counting each depth-(r+1) subtree once per sorted color-count class
         # brings these under SWEEP_BUDGET in one shard; walked one by one,
-        # they needed 9.9 and 9.0 million units
+        # (7,5,3) and (6,4,4) needed 9.9 and 9.0 million units of walk nodes
+        # and decider calls.  (6,3,3) needs 5.2 million units with its cores,
+        # about 12 s
         p = HyperParams(*shape)
         rep = exhaustive_verify(p, shards=1)
         assert (rep.success, rep.failure) == split
@@ -445,8 +449,9 @@ class TestExhaustiveVerify:
             assert naive_oracle(coloring_from_digits(p, line)).verdict == "not-found"
 
     def test_cap_decided_without_the_power(self, monkeypatch):
-        # past n = 7 a sweep keeps the coloring cap: 2^27405 is never built,
-        # nor any table
+        # no edge before rank C(29,4) holds vertex 29, so every prefix of
+        # colors 1 and 2 down to that depth is walked: the guard refuses
+        # before 2^27405 or any table is built
         def no_table(n, r):
             raise AssertionError("a mask table was built")
 
@@ -454,29 +459,79 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError) as err:
             exhaustive_verify(HyperParams(30, 4, 2))
         assert str(err.value) == (
-            f"2^{comb(30, 4)} colorings exceed the 5000000-coloring cap on sweeps "
-            "with n > 7; narrow the parameters")
+            f"a (30,4,2) sweep walks at least 2^{comb(29, 4) - 5} nodes, more than "
+            "1 shard(s) of the 60000000-unit sweep budget allow; narrow the parameters")
 
-    @pytest.mark.parametrize("shape", [(8, 2, 2), (9, 3, 2), (10, 2, 2), (12, 3, 2)])
+    @pytest.mark.parametrize("shape", [(9, 3, 2), (10, 2, 2), (12, 3, 2), (46, 2, 2)])
     def test_large_n_refused_without_a_table(self, shape, monkeypatch):
-        # a decider call may try (n-1)!/2 cores, past the 360 of n = 7 where
-        # the budget's unit was timed, so these are refused before any walk
+        # the guard's bound, 2^(C(n-1,r)-r-1) walk nodes, passes three
+        # shards' budgets, so these are refused before any walk
         def no_table(n, r):
             raise AssertionError("a mask table was built")
 
         monkeypatch.setattr(harness, "_vertex_masks", no_table)
-        p = HyperParams(*shape)
+        n, r, k = shape
         with pytest.raises(ValueError) as err:
-            exhaustive_verify(p, shards=3)
-        assert str(err.value).startswith(f"2^{p.edge_count} colorings exceed the "
-                                         "5000000-coloring cap on sweeps with n > 7")
+            exhaustive_verify(HyperParams(*shape), shards=3)
+        assert str(err.value).startswith(
+            f"a ({n},{r},{k}) sweep walks at least 2^{comb(n - 1, r) - r - 1} nodes, "
+            "more than 3 shard(s)")
 
     @pytest.mark.parametrize("shape, success", [((8, 7, 2), 2), ((9, 8, 3), 3), ((8, 8, 6), 0)])
     def test_large_n_under_the_cap_swept(self, shape, success):
-        # C(n, n-1) = n edges: only a one-color coloring has a cycle
+        # C(n, n-1) = n edges: only a one-color coloring has a cycle; the
+        # guard's bound is 2^(n-2) walk nodes at (n, n-1) and none at (n, n)
         p = HyperParams(*shape)
         rep = exhaustive_verify(p, shards=3)
         assert (rep.total, rep.success) == (p.k ** p.edge_count, success)
+
+    @pytest.mark.parametrize("shape", [(8, 6, 2), (9, 7, 2)])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_large_n_all_success_swept(self, shape, shards):
+        # 2^28 and 2^36 colorings take milliseconds under the budget; a
+        # random sample agrees with the oracle that every coloring has a cycle
+        p = HyperParams(*shape)
+        rep = exhaustive_verify(p, shards=shards)
+        assert (rep.total, rep.success, rep.failure) == (2 ** p.edge_count, 2 ** p.edge_count, 0)
+        rng = random.Random(shards)
+        for _ in range(20):
+            c = Coloring(p, [rng.randint(1, 2) for _ in range(p.edge_count)])
+            assert naive_oracle(c).verdict == "found"
+
+    def test_budget_charges_the_cores_tried(self, monkeypatch):
+        # the fewest units that admit (5,3,3) in one shard, with the cores
+        # the decider reports and with none reported: the difference is the
+        # cores, and without them the 841 walk nodes and 317 decider calls
+        # are left
+        def units():
+            lo, hi = 1, 1 << 12
+            while lo < hi:
+                monkeypatch.setattr(harness, "SWEEP_BUDGET", (lo + hi) // 2)
+                try:
+                    exhaustive_verify(HyperParams(5, 3, 3))
+                    hi = (lo + hi) // 2
+                except ValueError:
+                    lo = (lo + hi) // 2 + 1
+            return lo
+
+        made = [0, 0]  # decider calls, cores reported
+
+        def spy(n, r, allowed, _real=harness._berge_cycle):
+            found, cores = _real(n, r, allowed)
+            made[0] += 1
+            made[1] += cores
+            return found, cores
+
+        monkeypatch.setattr(harness, "_berge_cycle", spy)
+        with_cores = units()
+        monkeypatch.setattr(harness, "SWEEP_BUDGET", with_cores)
+        made[:] = [0, 0]
+        exhaustive_verify(HyperParams(5, 3, 3))
+        calls, cores = made
+        monkeypatch.setattr(harness, "_berge_cycle", lambda *args: (spy(*args)[0], 0))
+        nodes = units() - calls
+        assert (nodes, calls, cores) == (841, 317, 243)
+        assert with_cores - nodes - calls == cores
 
     def test_memo_starts_afresh_when_full(self, monkeypatch):
         # a memo of 16 answers repeats decider calls but keeps every count
@@ -725,11 +780,11 @@ def test_sweep_refuses_a_cycle_off_its_prefix(shape, monkeypatch):
     # coloring, whose later edges all have color 1, would pass them and
     # count every coloring as a success (243/0 instead of 3/240 at (5,4,3))
     def past_j(n, r, allowed, _real=harness._berge_cycle):
-        found = _real(n, r, allowed)
+        found, cores = _real(n, r, allowed)
         if found is None:
             later = (1 << comb(n, r)) - (1 << allowed.bit_length())
-            found = _real(n, r, allowed | later)
-        return found
+            found, cores = _real(n, r, allowed | later)
+        return found, cores
 
     monkeypatch.setattr(harness, "_berge_cycle", past_j)
     with pytest.raises(RuntimeError, match="^sweep produced an invalid cycle"):
@@ -747,9 +802,9 @@ def test_sweep_decider_agrees_with_the_search_on_its_own_masks(monkeypatch):
     asked: dict = {}
 
     def spy(n, r, allowed, _real=harness._berge_cycle):
-        found = _real(n, r, allowed)
+        found, cores = _real(n, r, allowed)
         asked[(n, r, allowed)] = found is not None
-        return found
+        return found, cores
 
     monkeypatch.setattr(harness, "_berge_cycle", spy)
     for shape, hi in [((5, 3, 3), 3**10), ((7, 5, 2), 2**21), ((6, 4, 3), 3**11)]:
