@@ -13,7 +13,9 @@ otherwise.  Greedy is sound but incomplete; matching is complete.
 `PrefixSDR` runs the same augmenting-path matching incrementally, one pair at
 a time with exact undo, so the Hamiltonian backtracker can grow a matching as
 it grows a path and drop every prefix whose pairs have no distinct
-representatives (Hall's theorem).
+representatives (Hall's theorem).  Its pools are bitmasks, the AND of two
+per-vertex edge masks, walked lowest bit first; construct's candidate lists
+are long and read lazily, so `distinct_representatives` keeps walking lists.
 """
 
 from __future__ import annotations
@@ -81,26 +83,42 @@ def _augment(
     return False
 
 
+def _augment_bits(
+    pos: int, pools: list[int], owner: dict[int, int], seen: list[int], journal: list
+) -> bool:
+    """`_augment` on bitmask pools: bit e of pools[pos] is a candidate, tried
+    lowest first, and seen[0] holds the bits visited so far, so it makes the
+    choices `_augment` makes on the ascending lists of the same bits."""
+    free = pools[pos] & ~seen[0]
+    while free:
+        low = free & -free
+        seen[0] |= low
+        e = low.bit_length() - 1
+        if e not in owner or _augment_bits(owner[e], pools, owner, seen, journal):
+            journal.append((e, owner.get(e)))
+            owner[e] = pos
+            return True
+        free &= ~seen[0]  # the attempt may have visited more of the pool
+    return False
+
+
 class PrefixSDR:
     """Distinct representatives for a growing sequence of vertex pairs.
 
-    Pair i draws from pair_lists[(u, v)] (u < v, ascending edge lists).  Each
-    push makes one augmenting-path attempt for the new pair, counted in
-    work_counter[0], and is refused when none exists: by Hall's theorem no
-    extension of the sequence then has distinct representatives.  `pop`
-    undoes the last accepted push exactly, so after any sequence of pushes
-    and pops the matching is the one `distinct_representatives` gives for the
-    pairs still held.  Usable as the backtracker's prefix hook.
+    Bit e of vm[x] is set when vertex x lies in edge e, so pair (u, v) draws
+    from the set bits of vm[u] & vm[v], lowest first.  Each push makes one
+    augmenting-path attempt for the new pair, counted in work_counter[0], and
+    is refused when none exists: by Hall's theorem no extension of the
+    sequence then has distinct representatives.  `pop` undoes the last
+    accepted push exactly, so after any sequence of pushes and pops the
+    matching is the one `distinct_representatives` gives for the ascending
+    lists of the pools still held.  Usable as the backtracker's prefix hook.
     """
 
-    def __init__(
-        self,
-        pair_lists: dict[tuple[int, int], list[int]],
-        work_counter: list[int],
-    ):
-        self.pair_lists = pair_lists
+    def __init__(self, vm: list[int], work_counter: list[int]):
+        self.vm = vm
         self.work_counter = work_counter
-        self.cands: list[list[int]] = []
+        self.cands: list[int] = []  # the pools held, in push order
         self._owner: dict[int, int] = {}
         self._journal: list[tuple[int, Optional[int]]] = []
         self._marks: list[int] = []
@@ -108,9 +126,9 @@ class PrefixSDR:
     def push(self, u: int, v: int) -> bool:
         self.work_counter[0] += 1
         cands = self.cands
-        cands.append(self.pair_lists[(u, v) if u < v else (v, u)])
+        cands.append(self.vm[u] & self.vm[v])
         mark = len(self._journal)
-        if _augment(len(cands) - 1, cands, self._owner, set(), self._journal):
+        if _augment_bits(len(cands) - 1, cands, self._owner, [0], self._journal):
             self._marks.append(mark)
             return True
         cands.pop()
@@ -128,7 +146,7 @@ class PrefixSDR:
                 owner[e] = prev
 
     def representatives(self) -> list[int]:
-        """The edge matched to each pair held, in push order."""
+        """The edge (bit index) matched to each pair held, in push order."""
         return sorted(self._owner, key=self._owner.get)  # one edge per pair
 
 

@@ -5,10 +5,11 @@ matter, it runs the Hamiltonian backtracker once on the pair-support graph
 with a prefix matcher hooked in (`_BudgetedSDR`, with a look-ahead), so the
 path and its distinct hyperedges grow together and a prefix with none is
 cut (Hall's theorem).  A class is read once into per-vertex class-edge
-bitmasks, `_ClassPools`.  It falls back to the constructive pipeline when
-budgets bite.  `naive_oracle` is the deliberately independent ground truth:
-`_berge_cycle` decides one color's edge mask by permutations plus
-brute-force SDR over bitmask pools, with no graph machinery.
+bitmasks, `_class_masks`, and a pair's pool is the AND of two of them.  It
+falls back to the constructive pipeline when budgets bite.  `naive_oracle`
+is the deliberately independent ground truth: `_berge_cycle` decides one
+color's edge mask by permutations plus brute-force SDR over bitmask pools,
+with no graph machinery.
 `exhaustive_verify` sweeps a whole coloring space with the same decider,
 deciding whole subtrees of colorings at once, once per distinct color mask
 in a shard, and counting a subtree that a color swap or a relabelling of
@@ -228,50 +229,29 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     return _decide_exact(coloring)
 
 
-_BLOCK = 1024  # larger classes get their masks from `_packed_masks`
+_BLOCK = 64  # larger classes get their masks from `_packed_masks` (measured crossover)
 
 
-class _ClassPools(dict):
-    """One color class as per-vertex bitmasks, and the pools `PrefixSDR`
-    reads from them.
-
-    Bit j of vm[x] is set when vertex x lies in the j-th class edge, given
-    the class's ascending edge indices and their member rows (at least one);
-    up to `_BLOCK` rows, a loop over Python ints beats `_packed_masks`.
-    Pair (u, v), u < v, maps to the ascending class positions j of the edges
-    holding both: the set bits of vm[u] & vm[v], decoded on the pair's first
-    lookup.  Positions rise with edge indices, so matching on positions makes
-    the choices matching on edges would; `edges[j]` is position j's edge."""
-
-    def __init__(self, n: int, edges: np.ndarray, rows: np.ndarray):
-        if len(rows) > _BLOCK:
-            self.vm = _packed_masks(n, rows)
-        else:
-            self.vm = vm = [0] * n
-            bit = 1
-            for row in rows.tolist():
-                for x in row:
-                    vm[x] |= bit
-                bit <<= 1
-        self.edges = edges
-
-    def __missing__(self, pair: tuple[int, int]) -> list[int]:
-        u, v = pair
-        digits = bin(self.vm[u] & self.vm[v])
-        top = len(digits) - 1  # the index of bit 0
-        pool = []
-        i = digits.rfind("1")
-        while i >= 0:  # set bits, lowest first; the "0b" prefix holds no "1"
-            pool.append(top - i)
-            i = digits.rfind("1", 0, i)
-        self[pair] = pool
-        return pool
+def _class_masks(n: int, rows: np.ndarray) -> list[int]:
+    """`_packed_masks` of one color class's member rows: bit j of entry x is
+    set when vertex x lies in the j-th class edge.  Up to `_BLOCK` rows, a
+    loop over Python ints beats the numpy packer."""
+    if len(rows) > _BLOCK:
+        return _packed_masks(n, rows)
+    vm = [0] * n
+    bit = 1
+    for row in rows.tolist():
+        for x in row:
+            vm[x] |= bit
+        bit <<= 1
+    return vm
 
 
 class _BudgetedSDR(PrefixSDR):
-    """Prefix matcher for one color's search, on the pools of `_ClassPools`.
-    It ends the search once nodes plus augmentations pass the budget, checked
-    at every push, so at every node but the root.
+    """Prefix matcher for one color's search on the masks of `_class_masks`,
+    so its pools and representatives are class positions.  It ends the
+    search once nodes plus augmentations pass the budget, checked at every
+    push, so at every node but the root.
 
     From the color's first backtrack on, a tree pair (v, w) that the matcher
     accepts must also pass a look-ahead (Hall's condition on what is left),
@@ -290,11 +270,10 @@ class _BudgetedSDR(PrefixSDR):
     that comes under a held pair sets `hamiltonian` and is refused, so
     nothing is yielded while a pair is held; from then on refusals cut."""
 
-    def __init__(self, pools: _ClassPools, aug: list[int], nodes: list[int], budget: int):
-        super().__init__(pools, aug)
+    def __init__(self, vm: list[int], aug: list[int], nodes: list[int], budget: int):
+        super().__init__(vm, aug)
         self.nodes = nodes
         self.budget = budget
-        self.vm = pools.vm
         self.held = 0  # the first pair held unmatched and every pair pushed below it
         self.hamiltonian = False  # a cycle of the support graph has closed
         self.backtracked = False  # the look-ahead runs from the first pop on
@@ -356,11 +335,12 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
     of covered pairs is a candidate core (there are no others), and a core
     works exactly when its n pairs have distinct hyperedges of the color.
     The class is read once into per-vertex bitmasks of its edges
-    (`_ClassPools`): uv is a covered pair when the masks of u and v meet, and
-    a pair's hyperedges are decoded from them when the search first needs
-    them.  One backtracker per color grows the path together with a matching
-    of its pairs (`PrefixSDR`) and cuts every prefix that already has none,
-    so the first cycle it yields is the answer: the first core, in the
+    (`_class_masks`): uv is a covered pair when the masks of u and v meet,
+    and their AND is the pair's pool of class positions, which rise with
+    edge ids; a found cycle's positions are mapped to edge ids once.  One
+    backtracker per color grows the path together with a matching of its
+    pairs (`PrefixSDR`) and cuts every prefix that already has none, so the
+    first cycle it yields is the answer: the first core, in the
     backtracker's order, that has distinct edges, with the edges that
     augmenting-path matching of its pairs in order gives.  The matcher's
     look-ahead (see `_BudgetedSDR`) cuts more prefixes, but only ones with no
@@ -399,19 +379,19 @@ def find_mono_berge(coloring: Coloring, budget: int = 2_000_000) -> SearchReport
             stages["colors"][color] = "budget exhausted"
             parked.append(color)
             continue
-        pools = _ClassPools(n, *coloring.class_members(color))
-        vm = pools.vm
+        edges, rows = coloring.class_members(color)
+        vm = _class_masks(n, rows)
         adj = [0] * n  # the support graph: uv is an edge when vm[u] & vm[v]
         for u, v in combinations(range(n), 2):
             if vm[u] & vm[v]:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         support = Graph._from_masks(adj)
-        sdr = _BudgetedSDR(pools, aug, nodes, budget)
+        sdr = _BudgetedSDR(vm, aug, nodes, budget)
         try:
             for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=sdr):
-                edges = pools.edges[sdr.representatives()].tolist()
-                cycle = _checked(BergeCycle(cert.order, tuple(edges), color), coloring, "search")
+                found = edges[sdr.representatives()].tolist()
+                cycle = _checked(BergeCycle(cert.order, tuple(found), color), coloring, "search")
                 stages["colors"][color] = "found"
                 return SearchReport("found", color, cycle, stages, nodes[0], aug[0])
             stages["colors"][color] = (

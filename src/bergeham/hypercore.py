@@ -174,7 +174,7 @@ class Coloring:
 
     def to_text(self) -> str:
         p = self.params
-        body = " ".join(str(int(c)) for c in self.colors)
+        body = " ".join(map(str, self.colors.tolist()))
         return f"{p.n} {p.r} {p.k}\n{body}\n"
 
     @classmethod

@@ -60,3 +60,15 @@ def pair_edges(coloring: Coloring, color: int) -> dict[tuple[int, int], list[int
         for pair in combinations(row, 2):
             lists[pair].append(t)
     return lists
+
+
+def class_vertex_masks(coloring: Coloring, color: int) -> list[int]:
+    """Per-vertex bitmasks of one color class over edge ids: bit t of entry x
+    is set when vertex x lies in the class edge t, so the AND of entries u
+    and v is `as_mask` of `pair_edges(coloring, color)[(u, v)]`."""
+    edges, rows = coloring.class_members(color)
+    vm = [0] * coloring.params.n
+    for t, row in zip(edges.tolist(), rows.tolist()):
+        for x in row:
+            vm[x] |= 1 << t
+    return vm

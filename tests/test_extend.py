@@ -260,14 +260,17 @@ class TestDistinctRepresentatives:
 
 
 def pair_pools(rng, n):
-    """Ascending edge lists for every pair of [0, n), from a random pool of
+    """Per-vertex edge masks (bit t of entry x: x lies in edge t) and the
+    ascending edge lists for every pair of [0, n), from one random pool of
     hyperedges given as vertex sets."""
     edges = [set(rng.sample(range(n), 3)) for _ in range(rng.randint(n // 2, 2 * n))]
-    return {
+    vm = [sum(1 << t for t, e in enumerate(edges) if x in e) for x in range(n)]
+    lists = {
         (u, v): [t for t, e in enumerate(edges) if u in e and v in e]
         for u in range(n)
         for v in range(u + 1, n)
     }
+    return vm, lists
 
 
 class TestPrefixSDR:
@@ -275,9 +278,9 @@ class TestPrefixSDR:
         rng = random.Random(89)
         for _ in range(150):
             n = rng.randint(4, 8)
-            lists = pair_pools(rng, n)
+            vm, lists = pair_pools(rng, n)
             work = [0]
-            sdr = PrefixSDR(lists, work)
+            sdr = PrefixSDR(vm, work)
             held = []
             pushes = 0
             for _ in range(25):
@@ -296,6 +299,6 @@ class TestPrefixSDR:
                     else:
                         assert sdr.representatives() == before
                 pools = [lists[min(a, b), max(a, b)] for a, b in held]
-                assert sdr.cands == pools
+                assert sdr.cands == list(map(as_mask, pools))
                 assert sdr.representatives() == distinct_representatives(pools)
             assert work[0] == pushes

@@ -297,9 +297,11 @@ class TestNaiveOracle:
             both = bin(vm[u] & vm[v])[:1:-1]  # lowest bit first
             assert [t for t, bit in enumerate(both) if bit == "1"] == pair_supersets(u, v, p)
         # a k = 1 class is the whole member table, packed the same way
-        pools = harness._ClassPools(26, *Coloring(p, [1] * p.edge_count).class_members(1))
-        assert pools.vm == list(vm)
-        assert pools[(3, 17)] == pair_supersets(3, 17, p)
+        _, rows = Coloring(p, [1] * p.edge_count).class_members(1)
+        cm = harness._class_masks(26, rows)
+        assert cm == list(vm)
+        both = bin(cm[3] & cm[17])[:1:-1]
+        assert [t for t, bit in enumerate(both) if bit == "1"] == pair_supersets(3, 17, p)
 
     def test_agreement_with_search(self):
         rng = random.Random(79)

@@ -271,6 +271,16 @@ class TestColoringFormat:
         assert text == "5 3 2\n1 2 1 2 1 2 1 2 1 2\n"
         assert Coloring.from_text(text) == c
 
+    def test_two_digit_ids_written_as_per_element_str(self):
+        # `to_text` joins the ids of `colors.tolist()`; the bytes are those of
+        # str(int(c)) per numpy element, and they read back to the coloring
+        c = gen_coloring(HyperParams(8, 3, 12), "random", seed=3)
+        assert max(c.colors) >= 10
+        per_element = " ".join(str(int(x)) for x in c.colors)
+        text = c.to_text()
+        assert text.encode() == f"8 3 12\n{per_element}\n".encode()
+        assert Coloring.from_text(text) == c
+
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             Coloring.from_text("5 3 2\n1 2 1\n")

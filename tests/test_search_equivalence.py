@@ -11,7 +11,6 @@ found first, the edges it gets, or any per-color stage label.
 import random
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from bergeham import Coloring, Graph, HyperParams, find_mono_berge, gen_coloring
@@ -19,7 +18,7 @@ from bergeham import harness
 from bergeham.extend import PrefixSDR, build_candidates, extend_matching
 from bergeham.hamilton import iter_hamiltonian_cycles
 from bergeham.hypercore import edge_members, iter_colex_edges
-from conftest import as_mask, pair_edges
+from conftest import as_mask, class_vertex_masks, pair_edges
 
 from test_differential import SPACES
 
@@ -128,7 +127,8 @@ def test_cycles_found_only_under_a_held_pair():
             return super().push(u, v)
 
     assert list(iter_hamiltonian_cycles(support))
-    assert not list(iter_hamiltonian_cycles(support, prefix_hook=Closings(lists, [0])))
+    hook = Closings(class_vertex_masks(coloring, 1), [0])
+    assert not list(iter_hamiltonian_cycles(support, prefix_hook=hook))
     assert closing == []
     report = find_mono_berge(coloring)
     assert report.stages["colors"][1] == "all cores exhausted"
@@ -150,7 +150,7 @@ def test_hooked_enumeration_yields_the_matchable_cores_in_order():
                 cycle = extend_matching(build_candidates(cert.order, color, coloring))
                 if cycle is not None:
                     expect.append((cert.order, cycle.edges))
-            sdr = PrefixSDR(lists, [0])
+            sdr = PrefixSDR(class_vertex_masks(coloring, color), [0])
             got = [
                 (cert.order, tuple(sdr.representatives()))
                 for cert in iter_hamiltonian_cycles(support, prefix_hook=sdr)
@@ -166,8 +166,8 @@ class LookaheadSpy(harness._BudgetedSDR):
     prefix, ending at the new vertex, that the look-ahead refuses."""
 
     def __init__(self, coloring, color, nodes):
-        pools = harness._ClassPools(coloring.params.n, *coloring.class_members(color))
-        super().__init__(pools, [0], nodes, 10**12)
+        self.edges, rows = coloring.class_members(color)
+        super().__init__(harness._class_masks(coloring.params.n, rows), [0], nodes, 10**12)
         self.refused = []
 
     def _lookahead(self, w):
@@ -218,10 +218,11 @@ def test_search_pools_and_support_match_pair_edges(monkeypatch):
             for x in range(n):
                 bits = [j for j, row in enumerate(rows.tolist()) if x in row]
                 assert hook.vm[x] == sum(1 << j for j in bits)
-            for pair, pool in lists.items():
+            for (u, v), pool in lists.items():
                 # the hook's pools hold class positions: `edges` maps them back
-                got = edges[hook.pair_lists[pair]].tolist()
-                assert got == pool, (coloring.to_text(), color, pair)
+                both = bin(hook.vm[u] & hook.vm[v])[:1:-1]  # lowest bit first
+                got = edges[[j for j, bit in enumerate(both) if bit == "1"]].tolist()
+                assert got == pool, (coloring.to_text(), color, (u, v))
             largest = max(largest, len(edges))
     assert largest > harness._BLOCK and checked > len(colorings)
 
@@ -234,7 +235,7 @@ def test_class_masks_on_either_side_of_the_size_switch(size):
     for j, row in enumerate(rows.tolist()):
         for x in row:
             expect[x] |= 1 << j
-    assert harness._ClassPools(18, np.arange(size), rows).vm == expect
+    assert harness._class_masks(18, rows) == expect
 
 
 def test_lookahead_yields_every_cycle_the_matcher_yields():
@@ -250,14 +251,14 @@ def test_lookahead_yields_every_cycle_the_matcher_yields():
     cycles = refused = 0
     for coloring in colorings:
         for color, lists, support in searched_colors(coloring):
-            plain = PrefixSDR(lists, [0])
+            plain = PrefixSDR(class_vertex_masks(coloring, color), [0])
             want = [
                 (cert.order, tuple(plain.representatives()))
                 for cert in iter_hamiltonian_cycles(support, prefix_hook=plain)
             ]
             nodes = [0]
             spy = LookaheadSpy(coloring, color, nodes)
-            edges = spy.pair_lists.edges  # the spy matches class positions
+            edges = spy.edges  # the spy matches class positions
             got = [
                 (cert.order, tuple(edges[spy.representatives()].tolist()))
                 for cert in iter_hamiltonian_cycles(support, counter=nodes, prefix_hook=spy)
