@@ -26,7 +26,7 @@ import numpy as np
 from .extend import build_candidates, distinct_representatives, extend_greedy_ordered, extend_matching
 from .graphs import Graph
 from .hamilton import SearchBudgetExceeded, chvatal_check, find_hamiltonian_cycle
-from .hypercore import BergeCycle, Coloring, _check_args, _rows_through, edge_members, rank_edge
+from .hypercore import BergeCycle, Coloring, _check_args, _unpacked, _vertex_bits, edge_members, rank_edge
 from .shadow import ColorProfile, _degree_bound, _greedy_avoiding, avoids
 
 GAMMA_NODE_BUDGET = 2_000_000
@@ -290,7 +290,7 @@ def _repair_degrees(
     lowest first, each with a contact vertex outside `exclusion`, v, v's
     neighbors and contacts, and the vertices that took v as a contact; the
     new gamma edge is reserved.  Only a vertex with t > 0 reads the class:
-    its rows through v come from one compare per column (`_rows_through`).
+    its row of the class's `_vertex_bits` table, built at the first repair.
     Returns the added edges, t and d per vertex, and the vertices of the
     hyperedges taken.
     """
@@ -301,6 +301,7 @@ def _repair_degrees(
     degrees: list[int] = []
     cover: set[int] = set()
     partners: dict[int, set[int]] = {}
+    bits = None  # the class's incidence, built at the first repair
     for v in vertices:
         d = graph.degree(v)
         degrees.append(d)
@@ -308,7 +309,9 @@ def _repair_degrees(
         if not counts[-1]:
             continue
         blocked = exclusion | {v} | set(graph.neighbors(v)) | partners.get(v, set())
-        through = _rows_through(rows, v)
+        if bits is None:
+            bits = _vertex_bits(graph.n, rows)
+        through = _unpacked(bits[v], len(edges))
         # one ascending pass serves every step: `used` and `blocked` only
         # grow, so an edge passed over stays unusable
         pool = zip(edges[through].tolist(), map(np.ndarray.tolist, rows[through]))

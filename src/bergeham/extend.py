@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .hypercore import BergeCycle, Coloring, _is_int, verify_berge_cycle
+from .hypercore import BergeCycle, Coloring, _is_int, _unpacked, _vertex_bits, verify_berge_cycle
 
 
 @dataclass
@@ -45,8 +43,8 @@ def build_candidates(
     """Candidate table for a core permutation and target color.
 
     Position i lists the class edges holding both v_i and v_{i+1 mod n}: the
-    rows of the two vertices in the per-vertex incidence of the color class,
-    ANDed.  A core vertex or color that is not an integer raises ValueError.
+    two vertices' rows of the class's `_vertex_bits`, ANDed and unpacked
+    once.  A core vertex or color that is not an integer raises ValueError.
     """
     p = coloring.params
     n = p.n
@@ -54,10 +52,8 @@ def build_candidates(
         raise ValueError("core must be a permutation of the vertices")
     core = tuple(core)
     edges, rows = coloring.class_members(color)
-    # incident[v, j]: vertex v lies in the j-th class edge
-    incident = np.zeros((n, len(edges)), dtype=bool)
-    incident[rows, np.arange(len(edges))[:, None]] = True
-    both = incident[list(core)] & incident[list(core[1:] + core[:1])]
+    bits = _vertex_bits(n, rows)  # bit j of row v: v lies in the j-th class edge
+    both = _unpacked(bits[list(core)] & bits[list(core[1:] + core[:1])], len(edges))
     cands = [edges[hit].tolist() for hit in both]
     return CandidateTable(core, color, coloring, cands)
 

@@ -47,6 +47,7 @@ from .hypercore import (
     HyperParams,
     _check_args,
     _check_int,
+    _vertex_bits,
     edge_members,
     verify_berge_cycle,
 )
@@ -94,7 +95,7 @@ def paper_threshold(r: int) -> int:
     """The vertex-count threshold 6*r*C(4r, r-1) above which the headline
     guarantee applies.  An r that is not an integer of at least 2, or whose
     threshold passes the 64-bit range, raises ValueError."""
-    _check_int("uniformity", r, 2)
+    r = _check_int("uniformity", r, 2)
     value = 6 * r * comb(4 * r, r - 1)
     if value >= 2**63:
         raise ValueError(f"threshold for r={r} exceeds the 64-bit range")
@@ -130,22 +131,10 @@ def _sdr_search(pools: list[int]) -> Optional[list[int]]:
         del place  # `place` refers to itself; drop it so no reference cycle is left
 
 
-def _packed_masks(n: int, rows: np.ndarray) -> list[int]:
-    """Entry x has bit j set when vertex x lies in rows[j].  numpy flags and
-    packs 2^16 rows (2^13 whole bytes) at a time, so the flags stay small."""
-    packed = np.empty((n, (len(rows) + 7) // 8), dtype=np.uint8)
-    for at in range(0, packed.shape[1], 1 << 13):
-        part = rows[8 * at:8 * (at + (1 << 13))]
-        flags = np.zeros((n, len(part)), dtype=bool)
-        flags[part.T, np.arange(len(part))] = True
-        packed[:, at:at + (1 << 13)] = np.packbits(flags, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 @lru_cache(maxsize=8)
 def _vertex_masks(n: int, r: int) -> tuple[int, ...]:
-    """`_packed_masks` of the colex member table: bit t is the rank-t edge."""
-    return tuple(_packed_masks(n, edge_members(n, r)))
+    """`_class_masks` of the colex member table: bit t is the rank-t edge."""
+    return tuple(_class_masks(n, edge_members(n, r)))
 
 
 def _berge_cycle(
@@ -229,15 +218,15 @@ def naive_oracle(coloring: Coloring) -> SearchReport:
     return _decide_exact(coloring)
 
 
-_BLOCK = 64  # larger classes get their masks from `_packed_masks` (measured crossover)
+_BLOCK = 64  # larger classes get their masks from `_vertex_bits` (measured crossover)
 
 
 def _class_masks(n: int, rows: np.ndarray) -> list[int]:
-    """`_packed_masks` of one color class's member rows: bit j of entry x is
-    set when vertex x lies in the j-th class edge.  Up to `_BLOCK` rows, a
-    loop over Python ints beats the numpy packer."""
+    """Per-vertex masks of member rows: bit j of entry x is set when vertex x
+    lies in rows[j].  Over `_BLOCK` rows, entry x is row x of `_vertex_bits`
+    read as an int; up to `_BLOCK`, a loop over Python ints is faster."""
     if len(rows) > _BLOCK:
-        return _packed_masks(n, rows)
+        return [int.from_bytes(row.tobytes(), "little") for row in _vertex_bits(n, rows)]
     vm = [0] * n
     bit = 1
     for row in rows.tolist():
@@ -464,7 +453,6 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
     owned = [0] * k  # per color (0-based): the edges of the prefix it holds
     prefix = [0] * count  # colors 1..k of the edges above the node
     answers: dict[int, tuple] = {}  # mask -> the decider's answer, () for none
-    checked: set[tuple[int, int]] = set()  # (mask, color) of checked cycles
     classes: dict[tuple[int, ...], int] = {}  # sorted color counts -> successes
     units = 0  # walk nodes, decider calls and cores tried
 
@@ -501,18 +489,15 @@ def _sweep_range(params: HyperParams, lo: int, hi: int) -> tuple[int, int, list[
             if found is None:
                 if len(answers) == SWEEP_MEMO:  # a full memo starts afresh
                     answers.clear()
-                    checked.clear()
                 found, cores = _berge_cycle(n, r, mine)
                 found = answers[mine] = found or ()
                 units += 1 + cores
-            if found:
-                # every completion holds the cycle only if its edges lie in
-                # `mine`, so it is checked, once per mask and color, on the
-                # completion that gives color c to no later edge
-                if (mine, c) not in checked:
+                if found:
+                    # checked once, as found, on the completion whose color-c
+                    # edges are `mine`: then every completion holds the cycle
                     row = prefix[:j] + [c + 1] + [(c + 1) % k + 1] * (count - j - 1)
                     _checked(BergeCycle(*found, c + 1), Coloring(params, row), "sweep")
-                    checked.add((mine, c))
+            if found:
                 got = b - a
             elif j + 1 == count:  # a leaf: one failing coloring
                 if len(examples) < stored:
@@ -577,10 +562,10 @@ def exhaustive_verify(
 
     The decider's answer depends only on the mask of c-edges, which comes
     back under many prefixes.  So a shard keeps a memo from mask to answer:
-    the decider runs once per distinct mask, and a cycle is checked once per
-    distinct (mask, color).  The memo keeps at most `SWEEP_MEMO` answers and
-    starts afresh once full, which repeats decider calls but changes no count
-    or counterexample.
+    the decider runs once per distinct mask, and a cycle is checked on the
+    call that finds it: its edges lie in the mask, whatever color asks again.
+    The memo keeps at most `SWEEP_MEMO` answers and starts afresh once full,
+    which repeats decider calls but changes no count or counterexample.
 
     Swapping two colors c and c' that edges 0..j-1 leave unused maps the
     subtree "edge j = c" one-to-one onto "edge j = c'" and keeps each
@@ -642,13 +627,13 @@ def exhaustive_verify(
     the caller once the shards already running end.
     """
     n, r, k, edges = params.n, params.r, params.k, params.edge_count
-    _check_int("workers", workers, 1)
+    workers = _check_int("workers", workers, 1)
     # min(k^edges, MAX_SHARDS) without the power: k >= 2 on 21 edges passes it
-    _check_int("shards", shards, 1, min(k ** min(edges, MAX_SHARDS.bit_length()), MAX_SHARDS))
+    shards = _check_int("shards", shards, 1, min(k ** min(edges, MAX_SHARDS.bit_length()), MAX_SHARDS))
     if k > 1:
         d = min(max(comb(n - 1, r), n - 1), edges - 1)
         e = max(min(d, r) - 1, d - r - 1)
-        if e >= (SWEEP_BUDGET * int(shards)).bit_length():  # 2^e > SWEEP_BUDGET * shards
+        if e >= (SWEEP_BUDGET * shards).bit_length():  # 2^e > SWEEP_BUDGET * shards
             raise ValueError(
                 f"a ({n},{r},{k}) sweep walks at least 2^{e} nodes, more than "
                 f"{shards} shard(s) of the {SWEEP_BUDGET}-unit sweep budget allow; "

@@ -7,8 +7,9 @@ over that index space.  Everything here is immutable after construction.
 Which vertices an edge holds is read from one cached member table per (n, r),
 `edge_members`, built from the prefix property of colex order: the j-subsets
 with largest element m are the first C(m, j-1) rows of the (j-1)-subset table,
-each with m appended.  The search's per-vertex class bitmasks, candidate
-tables and the verifier read it, and `iter_colex_edges` yields its rows.
+each with m appended.  The verifier reads it, `iter_colex_edges` yields its
+rows, and `_vertex_bits` packs any set of its rows into the one vertex-edge
+incidence that the search, the oracle, candidate tables and repairs read.
 
 Every vertex, color and edge index a public call takes passes one argument
 check, `_check_args`: a Python or numpy integer (`_is_int`: no bool, float or
@@ -31,7 +32,7 @@ MAX_COLORS = 255
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Parameters (n, r, k): vertex count, uniformity, number of colors."""
+    """Parameters (n, r, k), kept as Python ints: vertices, uniformity, colors."""
 
     n: int
     r: int
@@ -40,6 +41,8 @@ class HyperParams:
     def __post_init__(self):
         if not all(map(_is_int, (self.n, self.r, self.k))):
             raise ValueError(f"n, r and k must be integers, got {self!r}")
+        for name in ("n", "r", "k"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if not 2 <= self.r <= self.n:
@@ -124,16 +127,27 @@ def pair_supersets(u: int, v: int, params: HyperParams) -> list[int]:
     """
     _check_args(params, (u, v))
     members = edge_members(params.n, params.r)
-    return np.flatnonzero(_rows_through(members, u) & _rows_through(members, v)).tolist()
+    return np.flatnonzero((members == u).any(axis=1) & (members == v).any(axis=1)).tolist()
 
 
-def _rows_through(rows: np.ndarray, v: int) -> np.ndarray:
-    """Boolean mask of the member rows (one edge per row) that hold vertex v,
-    from one compare per column."""
-    hit = rows[:, 0] == v
-    for j in range(1, rows.shape[1]):
-        hit |= rows[:, j] == v
-    return hit
+def _vertex_bits(n: int, rows: np.ndarray) -> np.ndarray:
+    """Vertex-edge incidence of member rows: a uint8 (n, ceil(len(rows)/8))
+    table, row x with bit j set (little-endian) when x lies in rows[j].  numpy
+    flags and packs 2^16 rows (2^13 bytes) at a time, so the flags stay small."""
+    bits = np.empty((n, (len(rows) + 7) // 8), dtype=np.uint8)
+    for at in range(0, bits.shape[1], 1 << 13):
+        part = rows[8 * at:8 * (at + (1 << 13))]
+        span = np.arange(len(part))
+        flags = np.zeros(n * len(part), dtype=bool)  # (n, len(part)), flagged flat
+        for col in part.T:  # one member column at a time
+            flags[col.astype(np.intp) * len(part) + span] = True
+        bits[:, at:at + (1 << 13)] = np.packbits(flags.reshape(n, -1), axis=1, bitorder="little")
+    return bits
+
+
+def _unpacked(bits: np.ndarray, count: int) -> np.ndarray:
+    """The boolean view of `_vertex_bits` rows: their first `count` bits."""
+    return np.unpackbits(bits, axis=-1, count=count, bitorder="little").view(bool)
 
 
 class Coloring:
@@ -210,10 +224,12 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
-def _check_int(name: str, x, lo: int, hi: float = float("inf")) -> None:
-    """Raise ValueError unless x is a Python or numpy integer in [lo, hi]."""
+def _check_int(name: str, x, lo: int, hi: float = float("inf")) -> int:
+    """x as a Python int; ValueError unless it is a Python or numpy integer in
+    [lo, hi].  A numpy integer would compute in fixed width."""
     if not _is_int(x) or not lo <= x <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+    return int(x)
 
 
 def _check_args(p: HyperParams, vertices: Sequence = (), colors: Iterable = (),

@@ -154,6 +154,16 @@ class TestBuildCandidates:
                 assert table.candidates[i] == expect
                 assert all(type(e) is int for e in table.candidates[i])
 
+    def test_lists_across_the_packing_block_seam(self):
+        # C(26,5) = 65 780 edges: the incidence is packed 2^16 rows at a
+        # time, so every pair's list runs across the seam at edge 65 536
+        coloring = uniform(26, 5)
+        core = list(range(26))
+        random.Random(26).shuffle(core)
+        table = build_candidates(tuple(core), 1, coloring)
+        for i, (u, v) in enumerate(zip(core, core[1:] + core[:1])):
+            assert table.candidates[i] == pair_supersets(u, v, coloring.params)
+
 
 class TestMatching:
     def test_uniform_n5_r4_succeeds(self):

@@ -1,5 +1,6 @@
 import functools
 import gc
+import json
 import random
 import time
 from collections import Counter
@@ -143,6 +144,13 @@ class TestPaperThreshold:
         with pytest.raises(ValueError):
             paper_threshold(bad)
 
+    def test_numpy_r_computes_in_python_ints(self):
+        # in int64, 6 * 20 * C(80, 19) wrapped to a negative threshold
+        with pytest.raises(ValueError, match="exceeds the 64-bit range"):
+            paper_threshold(np.int64(20))
+        assert type(paper_threshold(np.int64(5))) is int
+        assert paper_threshold(np.int64(5)) == 145350
+
 
 class TestFindMonoBerge:
     def test_uniform_found(self):
@@ -233,8 +241,6 @@ class TestFindMonoBerge:
                 assert verify_berge_cycle(report.cycle, c) is None
 
     def test_report_json(self):
-        import json
-
         p = HyperParams(5, 4, 1)
         report = find_mono_berge(gen_coloring(p, "uniform"))
         blob = report.to_json()
@@ -250,6 +256,20 @@ class TestNaiveOracle:
         p = HyperParams(5, 4, 2)
         coloring = Coloring(p, [1, 1, 1, 2, 2])
         assert naive_oracle(coloring).verdict == "not-found"
+
+    def test_8_5_4_coloring_with_a_deficient_vertex_per_class(self):
+        # vertex c-1 lies in exactly one edge of class c, so no class has a
+        # Hamiltonian Berge-cycle: a failing 4-coloring of K_8^5
+        p = HyperParams(8, 5, 4)
+        coloring = coloring_from_digits(
+            p, "1 4 4 3 2 1 2 4 3 2 1 4 3 2 1 4 4 4 3 1 2 3 4 3 2 1 4 3 "
+               "2 1 4 4 4 3 1 2 4 3 2 1 4 4 4 3 1 2 4 4 4 3 1 2 4 4 4 3")
+        assert coloring.class_sizes().tolist() == [11, 11, 12, 22]
+        for c in range(1, 5):
+            _, rows = coloring.class_members(c)
+            assert int((rows == c - 1).any(axis=1).sum()) == 1
+        assert naive_oracle(coloring).verdict == "not-found"
+        assert find_mono_berge(coloring).verdict == "not-found"
 
     def test_rejects_large_n(self):
         p = HyperParams(10, 3, 1)
@@ -361,9 +381,10 @@ class TestExhaustiveVerify:
     def test_sweep_makes_a_coloring_only_for_a_found_cycle(self, built):
         # each of the 3 successes is a leaf of the prefix tree; color 3's root
         # subtree is color 2's with the two colors swapped, and once 100
-        # counterexamples are kept its success is counted without a walk
+        # counterexamples are kept its success is counted without a walk; a
+        # cycle is checked once, on the decider call that finds it
         rep = exhaustive_verify(HyperParams(5, 4, 3))
-        assert (rep.success, len(built)) == (3, 2)
+        assert (rep.success, len(built)) == (3, 1)
 
     def test_success_subtrees_counted_in_bulk(self, built):
         # one coloring per success subtree checks the subtree's cycle
@@ -391,6 +412,30 @@ class TestExhaustiveVerify:
         rep = exhaustive_verify(HyperParams(*shape))
         assert (rep.total, rep.success, rep.failure) == (1, 1, 0)
         assert calls == {"_decide_exact": 1, "_berge_cycle": 1}
+
+    def test_numpy_k_sweeps_in_python_ints(self):
+        # an int64 k made the total k^66 wrap to 0: total, success and
+        # failure all read 0
+        rep = exhaustive_verify(HyperParams(12, 10, np.int64(2)))
+        assert (rep.total, rep.success, rep.failure) == (2**66, 2**66, 0)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (5, 3, 2)])
+    def test_numpy_fields_sweep_like_python_ints(self, shape, tmp_path):
+        # uint8 fields wrapped the guard's bound (5,4,3) and the shard limit
+        # (5,3,2), so both spaces were refused
+        rep = exhaustive_verify(HyperParams(*map(np.uint8, shape)))
+        assert rep.to_json() == exhaustive_verify(HyperParams(*shape)).to_json()
+        rep.dump_json(tmp_path / "rep.json")
+        assert json.loads((tmp_path / "rep.json").read_text()) == rep.to_json()
+
+    def test_numpy_shards_sweep_like_python_ints(self, tmp_path):
+        rep = exhaustive_verify(HyperParams(5, 4, 3), shards=np.int64(3))
+        assert rep.to_json() == exhaustive_verify(HyperParams(5, 4, 3), shards=3).to_json()
+        rep.dump_json(tmp_path / "rep.json")  # an int64 shard bound raised TypeError
+        # an int64 shard count overflowed on the bounds of 2^66 colorings
+        rep = exhaustive_verify(HyperParams(12, 10, 2), shards=np.int64(2))
+        assert rep.shard_ranges == [(0, 2**65), (2**65, 2**66)]
+        assert (rep.success, rep.failure) == (2**66, 0)
 
     def test_one_coloring_shards_match_one_shard(self):
         p = HyperParams(5, 4, 3)

@@ -121,6 +121,12 @@ class TestParams:
                 HyperParams(*args)
         assert HyperParams(np.int64(5), np.uint8(3), np.int32(2)).edge_count == 10
 
+    def test_numpy_fields_stored_as_python_ints(self):
+        # a stored numpy field made every sum over it fixed-width
+        p = HyperParams(np.uint8(5), np.int64(4), np.uint8(3))
+        assert [type(x) for x in (p.n, p.r, p.k)] == [int] * 3
+        assert p == HyperParams(5, 4, 3)
+
 
 class TestPairSupersets:
     def test_counts(self):
